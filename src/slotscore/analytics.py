@@ -52,6 +52,7 @@ def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
     for doc_id in corpus.doc_ids():
         doc = corpus[doc_id]
         partitions[(doc.metadata.source, doc.metadata.split)] += 1
+        attrs = doc.attribute_index()
         for event in doc.events.values():
             events_by_type[event.event_type] += 1
             event_spec = schema.event(event.event_type)
@@ -61,7 +62,7 @@ def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
                 spec = event_spec.by_role(role)
                 if spec is None or spec.kind != LABELED:
                     continue
-                subtype = resolve_subtype(doc, event, target, spec, schema)
+                subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
                 subtypes[(event.event_type, spec.argument_type, subtype)] += 1
 
     n = len(corpus)

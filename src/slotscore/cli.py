@@ -55,7 +55,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("tsv", "json"), default="tsv", help="report format (default: tsv)"
     )
     parser.add_argument("--strict", action="store_true", help="reject recoverable .ann defects")
-    parser.add_argument("--workers", type=int, default=1, metavar="N", help="worker thread cap")
     parser.add_argument("--stamp", action="store_true", help="add a timestamp header to reports")
     parser.add_argument(
         "--log-level",
@@ -135,7 +134,7 @@ def cmd_score(args) -> int:
     schema = _schema_from(args)
     gold = load_corpus(args.gold, strict=args.strict)
     pred = load_corpus(args.pred, strict=args.strict)
-    _, report = score_corpus(gold, pred, schema, workers=args.workers)
+    _, report = score_corpus(gold, pred, schema)
     _emit(args, reports.render(
         reports.metric_rows(report), reports.METRIC_COLUMNS, args.format, _header(args)
     ))
@@ -149,9 +148,7 @@ def cmd_compare(args) -> int:
     gold = load_corpus(args.gold, strict=args.strict)
     pred_a = load_corpus(args.pred_a, strict=args.strict)
     pred_b = load_corpus(args.pred_b, strict=args.strict)
-    cfg = BootstrapConfig(
-        repetitions=args.reps, seed=args.seed, alpha=args.alpha, workers=args.workers
-    )
+    cfg = BootstrapConfig(repetitions=args.reps, seed=args.seed, alpha=args.alpha)
     result = paired_bootstrap(
         gold, pred_a, pred_b, schema, cfg, keep_deltas=bool(args.dump_deltas)
     )

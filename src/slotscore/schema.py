@@ -63,6 +63,7 @@ class ArgumentSpec:
 class EventSpec:
     event_type: str
     arguments: tuple[ArgumentSpec, ...] = ()
+    _by_role: dict[str, ArgumentSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arguments", tuple(self.arguments))
@@ -72,12 +73,10 @@ class EventSpec:
         arg_types = [a.argument_type for a in self.arguments]
         if len(set(arg_types)) != len(arg_types):
             raise SchemaError(f"duplicate argument types in event type {self.event_type}")
+        object.__setattr__(self, "_by_role", {a.role: a for a in self.arguments})
 
     def by_role(self, role: str) -> ArgumentSpec | None:
-        for a in self.arguments:
-            if a.role == role:
-                return a
-        return None
+        return self._by_role.get(role)
 
     def required_arguments(self) -> tuple[ArgumentSpec, ...]:
         return tuple(a for a in self.arguments if a.required)
@@ -90,18 +89,17 @@ class AnnotationSchema:
     events: tuple[EventSpec, ...]
     version: str = ""
     attributes_on_events: bool = False
+    _by_type: dict[str, EventSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         types = [e.event_type for e in self.events]
         if len(set(types)) != len(types):
             raise SchemaError("duplicate event types in schema")
+        object.__setattr__(self, "_by_type", {e.event_type: e for e in self.events})
 
     def event(self, event_type: str) -> EventSpec | None:
-        for e in self.events:
-            if e.event_type == event_type:
-                return e
-        return None
+        return self._by_type.get(event_type)
 
     def event_types(self) -> tuple[str, ...]:
         return tuple(e.event_type for e in self.events)
@@ -221,6 +219,7 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
 
     # (target id, attribute name) pairs the schema sanctions.
     sanctioned_attrs: set[tuple[str, str]] = set()
+    attrs = doc.attribute_index()
 
     for event in doc.events.values():
         spec = schema.event(event.event_type)
@@ -251,7 +250,7 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
             if arg_spec.kind == LABELED:
                 carrier = event.id if schema.attributes_on_events else target
                 sanctioned_attrs.add((carrier, arg_spec.attribute_name))
-                attr = doc.attributes_on(carrier).get(arg_spec.attribute_name)
+                attr = attrs.get((carrier, arg_spec.attribute_name))
                 if attr is None or attr.value is None:
                     report(
                         event.id,

@@ -11,11 +11,12 @@ phenomenon (event type x argument type x subtype) and micro-averaged.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .schema import LABELED, SPAN_ONLY, AnnotationSchema, ArgumentSpec, EventSpec
+from .schema import SPAN_ONLY, AnnotationSchema, ArgumentSpec
 from .standoff import (
+    AttributeAnnotation,
     Corpus,
     Document,
     EventAnnotation,
@@ -216,17 +217,20 @@ class EventAlignment:
     unmatched_pred: tuple[EventAnnotation, ...]
 
 
-def _event_order(doc: Document):
-    """Document order for alignment: ascending trigger start, then end,
-    then annotation id. Trigger-less events sort last and never match."""
-
-    def key(event: EventAnnotation):
+def _document_order(doc: Document) -> list[tuple[EventAnnotation, Span | None]]:
+    """Events in document order, each with its trigger span resolved once:
+    ascending trigger start, then end, then annotation id. Trigger-less
+    events (span None) sort last and never match."""
+    rows = []
+    for event in doc.events.values():
         tb = doc.trigger_of(event)
         if tb is None:
-            return (1, 0, 0, annotation_sort_key(event.id))
-        return (0, tb.span.start, tb.span.end, annotation_sort_key(event.id))
-
-    return sorted(doc.events.values(), key=key)
+            rows.append(((1, 0, 0, annotation_sort_key(event.id)), event, None))
+        else:
+            span = tb.span
+            rows.append(((0, span.start, span.end, annotation_sort_key(event.id)), event, span))
+    rows.sort(key=lambda row: row[0])
+    return [(event, span) for _, event, span in rows]
 
 
 def align_events(gold: Document, pred: Document) -> EventAlignment:
@@ -234,46 +238,58 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
 
     Gold events are visited in document order; each takes the first
     still-unmatched predicted event (same order) with an equivalent
-    trigger. Deterministic, order-stable, linear in practice.
+    trigger. Predicted events wait in per-type buckets in document order,
+    so the scan for one gold event stops at the first predicted trigger
+    that starts at or after the gold trigger's end.
     """
-    gold_events = _event_order(gold)
-    pred_events = _event_order(pred)
+    gold_events = _document_order(gold)
+    pred_events = _document_order(pred)
+
+    buckets: dict[str, list[tuple[Span, EventAnnotation]]] = {}
+    for p, p_span in pred_events:
+        if p_span is not None:
+            buckets.setdefault(p.event_type, []).append((p_span, p))
 
     matched: list[tuple[EventAnnotation, EventAnnotation]] = []
-    taken: set[str] = set()
-    for g in gold_events:
-        g_tb = gold.trigger_of(g)
-        if g_tb is None:
+    for g, g_span in gold_events:
+        bucket = buckets.get(g.event_type) if g_span is not None else None
+        if not bucket:
             continue
-        for p in pred_events:
-            if p.id in taken:
-                continue
-            p_tb = pred.trigger_of(p)
-            if p_tb is None:
-                continue
-            if triggers_equivalent((g.event_type, g_tb.span), (p.event_type, p_tb.span)):
+        g_end = g_span.end
+        for i, (p_span, p) in enumerate(bucket):
+            if p_span.start >= g_end:
+                break
+            if g_span.overlaps(p_span):
                 matched.append((g, p))
-                taken.add(p.id)
+                del bucket[i]
                 break
 
     matched_gold = {g.id for g, _ in matched}
+    taken = {p.id for _, p in matched}
     return EventAlignment(
         matched=tuple(matched),
-        unmatched_gold=tuple(g for g in gold_events if g.id not in matched_gold),
-        unmatched_pred=tuple(p for p in pred_events if p.id not in taken),
+        unmatched_gold=tuple(g for g, _ in gold_events if g.id not in matched_gold),
+        unmatched_pred=tuple(p for p, _ in pred_events if p.id not in taken),
     )
 
 
 # ---------------------------------------------------------------------------
-# Argument items
+# Slots
 # ---------------------------------------------------------------------------
 
-def resolve_subtype(doc: Document, event: EventAnnotation, target: str, spec: ArgumentSpec,
-                    schema: AnnotationSchema) -> str:
+def resolve_subtype(
+    doc: Document,
+    event: EventAnnotation,
+    target: str,
+    spec: ArgumentSpec,
+    schema: AnnotationSchema,
+    attrs: dict[tuple[str, str], AttributeAnnotation],
+) -> str:
     """The subtype label a labeled argument carries, or the missing
-    sentinel when its attribute is absent."""
+    sentinel when its attribute is absent. ``attrs`` is
+    ``doc.attribute_index()``, built once per note by the caller."""
     carrier = event.id if schema.attributes_on_events else target
-    attr = doc.attributes_on(carrier).get(spec.attribute_name)
+    attr = attrs.get((carrier, spec.attribute_name))
     if attr is None or attr.value is None:
         logger.warning(
             "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
@@ -283,176 +299,117 @@ def resolve_subtype(doc: Document, event: EventAnnotation, target: str, spec: Ar
     return attr.value
 
 
-def _argument_items(
-    doc: Document, event: EventAnnotation, event_spec: EventSpec, schema: AnnotationSchema
-) -> tuple[Counter, Counter]:
-    """Multisets of scorable argument tuples for one event.
+def _event_slots(
+    doc: Document,
+    event: EventAnnotation,
+    schema: AnnotationSchema,
+    attrs: dict[tuple[str, str], AttributeAnnotation],
+) -> dict[tuple, int]:
+    """The multiset of slots one event fills, as {(key, match value):
+    count}: its trigger (match value None), each span-only argument (its
+    fragments) and each labeled argument (its subtype).
 
-    Span-only items are (argument_type, fragment list); labeled items are
-    (argument_type, subtype). Arguments whose role the schema does not
-    declare are not scorable phenomena and are skipped (validation is the
-    surface that reports them).
+    The key is a plain (kind, event type, argument type, subtype) tuple;
+    each distinct one becomes a PhenomenonKey only when a note's tallies are
+    handed out. Arguments whose role the schema does not declare are not
+    scorable phenomena and are skipped (validation is the surface that
+    reports them).
     """
-    span_only: Counter = Counter()
-    labeled: Counter = Counter()
+    event_type = event.event_type
+    slots: dict[tuple, int] = {((TRIGGER, event_type, None, None), None): 1}
+    event_spec = schema.event(event_type)
+    if event_spec is None:
+        return slots
     for role, target in event.arguments:
         spec = event_spec.by_role(role)
         if spec is None:
             logger.warning(
                 "%s: role %s on %s is not declared for %s; skipping in scoring",
-                doc.doc_id, role, event.id, event.event_type,
+                doc.doc_id, role, event.id, event_type,
             )
             continue
         if spec.kind == SPAN_ONLY:
-            tb = doc.text_bounds[target]
-            span_only[(spec.argument_type, tb.span.fragments)] += 1
+            slot = (
+                (SPAN_ONLY_ARG, event_type, spec.argument_type, None),
+                doc.text_bounds[target].span.fragments,
+            )
         else:
-            labeled[(spec.argument_type, resolve_subtype(doc, event, target, spec, schema))] += 1
-    return span_only, labeled
+            subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
+            slot = ((LABELED_ARG, event_type, spec.argument_type, subtype), subtype)
+        slots[slot] = slots.get(slot, 0) + 1
+    return slots
 
 
-def score_span_only_args(
-    gold: Document,
-    pred: Document,
-    pair: tuple[EventAnnotation, EventAnnotation],
-    schema: AnnotationSchema,
-) -> ScoreCounts:
-    """Exact-match multiset comparison of a matched pair's span-only
-    arguments, keyed by (event type, argument type)."""
-    g_event, p_event = pair
-    event_spec = schema.event(g_event.event_type)
-    out = ScoreCounts()
-    if event_spec is None:
-        return out
-    g_items, _ = _argument_items(gold, g_event, event_spec, schema)
-    p_items, _ = _argument_items(pred, p_event, event_spec, schema)
-
-    for item in set(g_items) | set(p_items):
-        arg_type = item[0]
-        key = PhenomenonKey(SPAN_ONLY_ARG, g_event.event_type, arg_type)
-        tp = min(g_items[item], p_items[item])
-        out.tally(key, tp=tp, fn=g_items[item] - tp, fp=p_items[item] - tp)
-    return out
-
-
-def score_labeled_args(
-    gold: Document,
-    pred: Document,
-    pair: tuple[EventAnnotation, EventAnnotation],
-    schema: AnnotationSchema,
-) -> ScoreCounts:
-    """Span-agnostic multiset comparison of a matched pair's labeled
-    arguments, keyed by (event type, argument type, subtype)."""
-    g_event, p_event = pair
-    event_spec = schema.event(g_event.event_type)
-    out = ScoreCounts()
-    if event_spec is None:
-        return out
-    _, g_items = _argument_items(gold, g_event, event_spec, schema)
-    _, p_items = _argument_items(pred, p_event, event_spec, schema)
-
-    for arg_type, subtype in set(g_items) | set(p_items):
-        key = PhenomenonKey(LABELED_ARG, g_event.event_type, arg_type, subtype)
-        tp = min(g_items[(arg_type, subtype)], p_items[(arg_type, subtype)])
-        out.tally(
-            key,
-            tp=tp,
-            fn=g_items[(arg_type, subtype)] - tp,
-            fp=p_items[(arg_type, subtype)] - tp,
-        )
-    return out
-
-
-def _unmatched_event_counts(
-    doc: Document, event: EventAnnotation, schema: AnnotationSchema, as_gold: bool
-) -> ScoreCounts:
-    """An unmatched event's trigger and every argument count as misses
-    (gold side) or spurious slots (pred side)."""
-    out = ScoreCounts()
-    trigger_key = PhenomenonKey(TRIGGER, event.event_type)
-    out.tally(trigger_key, fn=1 if as_gold else 0, fp=0 if as_gold else 1)
-    event_spec = schema.event(event.event_type)
-    if event_spec is None:
-        return out
-    span_only, labeled = _argument_items(doc, event, event_spec, schema)
-    for (arg_type, _fragments), n in span_only.items():
-        key = PhenomenonKey(SPAN_ONLY_ARG, event.event_type, arg_type)
-        out.tally(key, fn=n if as_gold else 0, fp=0 if as_gold else n)
-    for (arg_type, subtype), n in labeled.items():
-        key = PhenomenonKey(LABELED_ARG, event.event_type, arg_type, subtype)
-        out.tally(key, fn=n if as_gold else 0, fp=0 if as_gold else n)
-    return out
-
-
-def event_slot_keys(
-    doc: Document, event: EventAnnotation, schema: AnnotationSchema
-) -> list[PhenomenonKey]:
-    """Every slot an event fills, one key per occurrence: its trigger plus
-    each scorable argument."""
-    keys = [PhenomenonKey(TRIGGER, event.event_type)]
-    event_spec = schema.event(event.event_type)
-    if event_spec is None:
-        return keys
-    span_only, labeled = _argument_items(doc, event, event_spec, schema)
-    for (arg_type, _fragments), n in sorted(span_only.items()):
-        keys.extend([PhenomenonKey(SPAN_ONLY_ARG, event.event_type, arg_type)] * n)
-    for (arg_type, subtype), n in sorted(labeled.items()):
-        keys.extend([PhenomenonKey(LABELED_ARG, event.event_type, arg_type, subtype)] * n)
-    return keys
+@lru_cache(maxsize=4096)
+def _phenomenon(kind: str, event_type: str, argument_type: str | None,
+                subtype: str | None) -> PhenomenonKey:
+    return PhenomenonKey(kind, event_type, argument_type, subtype)
 
 
 def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
-    """Tally one note: triggers from the alignment, arguments from matched
-    pairs, and all slots of unmatched events as fn/fp."""
+    """Tally one note. A matched pair's shared slots are tp, its gold-only
+    slots fn and its pred-only slots fp; every slot of an unmatched gold
+    (pred) event is fn (fp)."""
     if gold.doc_id != pred.doc_id:
         raise ScoringError(f"doc_id mismatch: gold {gold.doc_id!r} vs pred {pred.doc_id!r}")
     alignment = align_events(gold, pred)
-    out = ScoreCounts()
+    gold_attrs = gold.attribute_index()
+    pred_attrs = pred.attribute_index()
+    cells: dict[tuple, list[int]] = {}
+
+    def add(key: tuple, tp: int, fn: int, fp: int) -> None:
+        cell = cells.setdefault(key, [0, 0, 0])
+        cell[0] += tp
+        cell[1] += fn
+        cell[2] += fp
+
     for g_event, p_event in alignment.matched:
-        out.tally(PhenomenonKey(TRIGGER, g_event.event_type), tp=1)
-        out.merge(score_span_only_args(gold, pred, (g_event, p_event), schema))
-        out.merge(score_labeled_args(gold, pred, (g_event, p_event), schema))
+        pred_slots = _event_slots(pred, p_event, schema, pred_attrs)
+        for slot, n in _event_slots(gold, g_event, schema, gold_attrs).items():
+            m = pred_slots.pop(slot, 0)
+            tp = min(n, m)
+            add(slot[0], tp, n - tp, m - tp)
+        for slot, m in pred_slots.items():
+            add(slot[0], 0, 0, m)
     for g_event in alignment.unmatched_gold:
-        out.merge(_unmatched_event_counts(gold, g_event, schema, as_gold=True))
+        for slot, n in _event_slots(gold, g_event, schema, gold_attrs).items():
+            add(slot[0], 0, n, 0)
     for p_event in alignment.unmatched_pred:
-        out.merge(_unmatched_event_counts(pred, p_event, schema, as_gold=False))
+        for slot, m in _event_slots(pred, p_event, schema, pred_attrs).items():
+            add(slot[0], 0, 0, m)
+
+    out = ScoreCounts()
+    for key, (tp, fn, fp) in cells.items():
+        out.counts[_phenomenon(*key)] = Counts(tp, fn, fp)
     return out
 
 
 def per_document_counts(
-    gold: Corpus, pred: Corpus, schema: AnnotationSchema, workers: int = 1
+    gold: Corpus, pred: Corpus, schema: AnnotationSchema
 ) -> dict[str, ScoreCounts]:
     """Per-note tallies for every gold note, in sorted doc_id order.
 
     Predicted notes absent from gold are an error; gold notes absent from
-    pred score against an empty prediction. Notes are independent, so
-    ``workers`` only changes wall time, never the result.
+    pred score against an empty prediction.
     """
     extra = set(pred.documents) - set(gold.documents)
     if extra:
         raise ScoringError(f"predicted notes with no gold counterpart: {sorted(extra)}")
-
-    def score_one(doc_id: str) -> ScoreCounts:
+    out: dict[str, ScoreCounts] = {}
+    for doc_id in gold.doc_ids():
         gold_doc = gold[doc_id]
         pred_doc = pred.documents.get(doc_id)
         if pred_doc is None:
             pred_doc = empty_document(doc_id, gold_doc.text, gold_doc.metadata)
-        return score_document(gold_doc, pred_doc, schema)
-
-    doc_ids = gold.doc_ids()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return dict(zip(doc_ids, pool.map(score_one, doc_ids)))
-    return {doc_id: score_one(doc_id) for doc_id in doc_ids}
+        out[doc_id] = score_document(gold_doc, pred_doc, schema)
+    return out
 
 
 def score_corpus(
-    gold: Corpus, pred: Corpus, schema: AnnotationSchema, workers: int = 1
+    gold: Corpus, pred: Corpus, schema: AnnotationSchema
 ) -> tuple[ScoreCounts, MetricReport]:
     """Corpus tallies (summed over notes) and their micro-averaged report."""
     total = ScoreCounts()
-    for counts in per_document_counts(gold, pred, schema, workers=workers).values():
+    for counts in per_document_counts(gold, pred, schema).values():
         total.merge(counts)
     return total, MetricReport.from_counts(total)

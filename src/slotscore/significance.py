@@ -5,12 +5,11 @@ Per-note tallies are computed once per system; each repetition then draws
 notes with replacement, sums the cached tallies, and records the F1
 difference. Repetition i consumes a random stream derived solely from
 (seed, i) via a counter-based generator, so results are bit-identical
-regardless of worker count or execution order.
+regardless of execution order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +24,12 @@ class BootstrapConfig:
     repetitions: int = 10_000
     seed: int = 0
     alpha: float = 0.05
-    workers: int = 1
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,17 @@ def _overall_f1(totals: np.ndarray) -> float:
     return prf(tp, fn, fp)[2]
 
 
+def _f1_rows(totals: np.ndarray) -> np.ndarray:
+    """F1 of each (tp, fn, fp) row, in prf's operation order with every 0/0
+    quotient defined as 0, so each value equals prf's bit for bit."""
+    tp, fn, fp = totals[:, 0], totals[:, 1], totals[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp != 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn != 0, tp / (tp + fn), 0.0)
+        both = precision + recall
+        return np.where(both != 0, 2 * precision * recall / both, 0.0)
+
+
 def paired_bootstrap(
     gold: Corpus,
     pred_a: Corpus,
@@ -91,34 +98,24 @@ def paired_bootstrap(
     if len(gold) == 0:
         raise ValueError("gold corpus is empty")
 
-    totals_a = _note_totals(gold, pred_a, schema)
-    totals_b = _note_totals(gold, pred_b, schema)
+    # One row per gold note: system A's (tp, fn, fp), then system B's.
+    totals = np.hstack([_note_totals(gold, pred_a, schema), _note_totals(gold, pred_b, schema)])
     n = len(gold)
 
-    f1_a = _overall_f1(totals_a.sum(axis=0))
-    f1_b = _overall_f1(totals_b.sum(axis=0))
+    f1_a = _overall_f1(totals[:, :3].sum(axis=0))
+    f1_b = _overall_f1(totals[:, 3:].sum(axis=0))
     observed = f1_a - f1_b
 
-    def delta_for(rep: int) -> float:
+    # A repetition's sums are its note counts (how often each note was
+    # drawn) times the per-note totals: exact integers, as a plain sum.
+    sums = np.empty((cfg.repetitions, 6), dtype=np.int64)
+    for rep in range(cfg.repetitions):
         idx = _rep_rng(cfg.seed, rep).integers(0, n, size=n)
-        return _overall_f1(totals_a[idx].sum(axis=0)) - _overall_f1(totals_b[idx].sum(axis=0))
+        sums[rep] = np.bincount(idx, minlength=n) @ totals
+    deltas = _f1_rows(sums[:, :3]) - _f1_rows(sums[:, 3:])
 
-    deltas: list[float] = [0.0] * cfg.repetitions
-    if cfg.workers == 1:
-        for rep in range(cfg.repetitions):
-            deltas[rep] = delta_for(rep)
-    else:
-        def run_chunk(chunk: range) -> None:
-            for rep in chunk:
-                deltas[rep] = delta_for(rep)
-
-        step = -(-cfg.repetitions // cfg.workers)
-        chunks = [range(lo, min(lo + step, cfg.repetitions)) for lo in range(0, cfg.repetitions, step)]
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_chunk, chunks))
-
-    at_most = sum(1 for d in deltas if d <= 0.0)
-    at_least = sum(1 for d in deltas if d >= 0.0)
+    at_most = int(np.count_nonzero(deltas <= 0.0))
+    at_least = int(np.count_nonzero(deltas >= 0.0))
     p_value = min(1.0, 2 * min(at_most + 1, at_least + 1) / (cfg.repetitions + 1))
 
     return BootstrapResult(
@@ -130,5 +127,5 @@ def paired_bootstrap(
         seed=cfg.seed,
         alpha=cfg.alpha,
         significant=p_value < cfg.alpha,
-        deltas=tuple(deltas) if keep_deltas else None,
+        deltas=tuple(deltas.tolist()) if keep_deltas else None,
     )

@@ -6,9 +6,10 @@ and attributes (``A``). Relations, normalizations, and comments are
 outside the data model; the parser skips them with a warning in lenient
 mode and rejects them in strict mode.
 
-All character offsets are Unicode code-point offsets into the note text,
-never byte offsets. Parsed documents are immutable by convention and safe
-to share across threads.
+All character offsets are Unicode code-point offsets into the note text
+as stored, never byte offsets: a CRLF line ending counts as two
+characters, and only LF ends an ``.ann`` line. Parsed documents are
+immutable by convention and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -38,6 +40,7 @@ class StandoffError(Exception):
         super().__init__(f"{where}: {message}")
 
 
+@lru_cache(maxsize=4096)  # ids such as E1 or T12 recur in every note
 def annotation_sort_key(ann_id: str) -> tuple:
     """Sort key ordering T2 before T10 (numeric suffix, then raw id)."""
     m = _ID_RE.match(ann_id)
@@ -155,9 +158,10 @@ class Document:
             return None
         return self.text_bounds.get(event.trigger)
 
-    def attributes_on(self, target_id: str) -> dict[str, AttributeAnnotation]:
-        """Attributes attached to one annotation, keyed by attribute name."""
-        return {a.name: a for a in self.attributes.values() if a.target == target_id}
+    def attribute_index(self) -> dict[tuple[str, str], AttributeAnnotation]:
+        """Every attribute keyed by (target id, attribute name). Built anew on
+        each call; a caller that looks up many attributes builds it once."""
+        return {(a.target, a.name): a for a in self.attributes.values()}
 
     def events_of_type(self, event_type: str) -> list[EventAnnotation]:
         return [e for e in self.events.values() if e.event_type == event_type]
@@ -212,6 +216,20 @@ def _flatten_ws(text: str) -> str:
     return text.replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 
+def _lines(text: str) -> list[str]:
+    """Lines split on LF only, each stripped of one trailing CR. Unlike
+    ``str.splitlines``, characters such as U+2028, form feed or NEL inside
+    a line (say, in covered text) do not end it."""
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+
+
+def _read_raw(path: Path) -> str:
+    """File text with line endings untouched: BRAT offsets count every code
+    point of the file, CR included."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
     fragments = []
     for part in offsets.split(";"):
@@ -257,7 +275,7 @@ def parse_document(
             raise StandoffError(message, doc_id, line_no)
         logger.warning("%s:%d: %s", doc_id or "<input>", line_no, message)
 
-    for line_no, line in enumerate(ann_text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(ann_text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -437,7 +455,7 @@ def parse_manifest(text: str) -> list[MetadataRule]:
     """Parse a corpus manifest: one ``pattern<TAB>source<TAB>split`` rule per
     line; ``#`` starts a comment. Commas are accepted in place of tabs."""
     rules = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -493,13 +511,13 @@ def load_corpus(
     for txt_path in txt_files:
         doc_id = txt_path.stem
         rel = txt_path.relative_to(root).with_suffix("").as_posix()
-        text = txt_path.read_text(encoding="utf-8")
+        text = _read_raw(txt_path)
         metadata = _metadata_for(rel, doc_id, rules)
         ann_path = txt_path.with_suffix(".ann")
         if ann_path.exists():
             try:
                 doc = parse_document(
-                    ann_path.read_text(encoding="utf-8"),
+                    _read_raw(ann_path),
                     text,
                     doc_id=doc_id,
                     strict=strict,
@@ -523,5 +541,7 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     for doc_id in corpus.doc_ids():
         doc = corpus[doc_id]
-        (root / f"{doc_id}.txt").write_text(doc.text, encoding="utf-8")
-        (root / f"{doc_id}.ann").write_text(serialize_document(doc), encoding="utf-8")
+        (root / f"{doc_id}.txt").write_text(doc.text, encoding="utf-8", newline="")
+        (root / f"{doc_id}.ann").write_text(
+            serialize_document(doc), encoding="utf-8", newline=""
+        )

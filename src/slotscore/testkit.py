@@ -18,12 +18,11 @@ import numpy as np
 from .schema import LABELED, SPAN_ONLY, AnnotationSchema, ArgumentSpec, EventSpec
 from .scoring import (
     LABELED_ARG,
+    MISSING_SUBTYPE,
     SPAN_ONLY_ARG,
     TRIGGER,
     PhenomenonKey,
     ScoreCounts,
-    event_slot_keys,
-    resolve_subtype,
     triggers_equivalent,
 )
 from .standoff import (
@@ -302,13 +301,55 @@ class Edit:
     new_key: PhenomenonKey | None = None
 
 
+def _subtype_of(
+    doc: Document, event: EventAnnotation, target: str, spec: ArgumentSpec,
+    schema: AnnotationSchema,
+) -> str:
+    """A labeled argument's subtype by a plain scan of the note's
+    attributes (the last one that matches wins), or the missing sentinel."""
+    carrier = event.id if schema.attributes_on_events else target
+    value = None
+    for attr in doc.attributes.values():
+        if attr.target == carrier and attr.name == spec.attribute_name:
+            value = attr.value
+    return MISSING_SUBTYPE if value is None else value
+
+
+def _slot_keys(
+    doc: Document, event: EventAnnotation, schema: AnnotationSchema
+) -> list[PhenomenonKey]:
+    """Every slot an event fills, one key per occurrence: its trigger, then
+    its span-only arguments, then its labeled arguments, each group sorted.
+    Undeclared roles fill no slot. Written apart from the scorer, so the
+    oracle shares no slot code with what it checks."""
+    keys = [PhenomenonKey(TRIGGER, event.event_type)]
+    event_spec = schema.event(event.event_type)
+    if event_spec is None:
+        return keys
+    span_only: list[str] = []
+    labeled: list[tuple[str, str]] = []
+    for role, target in event.arguments:
+        spec = event_spec.by_role(role)
+        if spec is None:
+            continue
+        if spec.kind == SPAN_ONLY:
+            span_only.append(spec.argument_type)
+        else:
+            labeled.append((spec.argument_type, _subtype_of(doc, event, target, spec, schema)))
+    keys.extend(PhenomenonKey(SPAN_ONLY_ARG, event.event_type, a) for a in sorted(span_only))
+    keys.extend(
+        PhenomenonKey(LABELED_ARG, event.event_type, a, subtype) for a, subtype in sorted(labeled)
+    )
+    return keys
+
+
 def identity_counts(gold: Corpus, schema: AnnotationSchema) -> ScoreCounts:
     """The tallies a perfect prediction earns: every gold slot a tp."""
     out = ScoreCounts()
     for doc_id in gold.doc_ids():
         doc = gold[doc_id]
         for event in doc.events.values():
-            for key in event_slot_keys(doc, event, schema):
+            for key in _slot_keys(doc, event, schema):
                 out.tally(key, tp=1)
     return out
 
@@ -415,7 +456,7 @@ def perturb(
                         op=OP_DROP,
                         event_id=event.id,
                         event_type=event.event_type,
-                        slots=tuple(event_slot_keys(doc, event, schema)),
+                        slots=tuple(_slot_keys(doc, event, schema)),
                     )
                 )
                 continue
@@ -466,7 +507,7 @@ def perturb(
                             )
                         )
                 if spec.kind == LABELED and rng.random() < cfg.subtype_flip:
-                    current = resolve_subtype(doc, event, target, spec, schema)
+                    current = _subtype_of(doc, event, target, spec, schema)
                     alternatives = sorted(set(spec.subtypes) - {current})
                     if current not in spec.subtypes or not alternatives:
                         continue

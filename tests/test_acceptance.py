@@ -2,7 +2,9 @@
 PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -s`` to see the
 lines as they execute."""
 
+import hashlib
 import logging
+import struct
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -165,6 +167,15 @@ def test_criterion_3_oracle_alignment():
 # 4. Bootstrap exactness, determinism, and speed
 # ---------------------------------------------------------------------------
 
+CRITERION_4_REPORT = (
+    b"# seed=99\n# repetitions=10000\n"
+    b"f1_a\tf1_b\tdelta\tp_value\trepetitions\tseed\talpha\tsignificant\tverdict\n"
+    b"1.000000\t0.887809\t0.112191\t0.000200\t10000\t99\t0.050000\ttrue\t"
+    b"statistically different\n"
+)
+CRITERION_4_DELTAS_SHA256 = "30f32f0e1ba5e0b884e04c36e43d52b474c466227b12a79cf05a0f832d211689"
+
+
 def test_criterion_4_bootstrap_exactness(shac):
     gold = generate_gold(
         GeneratorConfig(seed=40, notes=20, density={"Drug": {1: 0.5, 2: 0.5}}), shac
@@ -180,30 +191,29 @@ def test_criterion_4_bootstrap_exactness(shac):
     same = paired_bootstrap(gold, empty, empty, shac, BootstrapConfig(repetitions=500, seed=4))
     identical_ok = same.p_value == 1.0
 
-    # byte-identical reports across worker counts
+    # byte-identical reports and deltas against a golden pin, recorded from
+    # the per-repetition pure-Python resampler
     big = generate_gold(GeneratorConfig(seed=41, notes=500), shac)
     degraded, _ = perturb(
         gold=big,
         cfg=GeneratorConfig(seed=41, notes=500, event_drop=0.15, subtype_flip=0.15),
         schema=shac,
     )
-    blobs = []
     started = time.perf_counter()
-    for workers in (1, 4, 8):
-        res = paired_bootstrap(
-            big, big, degraded, shac,
-            BootstrapConfig(repetitions=reps, seed=99, workers=workers),
-        )
-        blobs.append(render(
-            bootstrap_rows(res), BOOTSTRAP_COLUMNS, "tsv",
-            header={"seed": res.seed, "repetitions": res.repetitions},
-        ).encode())
-    elapsed = (time.perf_counter() - started) / 3
-    workers_ok = blobs[0] == blobs[1] == blobs[2]
+    res = paired_bootstrap(
+        big, big, degraded, shac, BootstrapConfig(repetitions=reps, seed=99), keep_deltas=True
+    )
+    elapsed = time.perf_counter() - started
+    blob = render(
+        bootstrap_rows(res), BOOTSTRAP_COLUMNS, "tsv",
+        header={"seed": res.seed, "repetitions": res.repetitions},
+    ).encode()
+    deltas_sha256 = hashlib.sha256(struct.pack(f"<{reps}d", *res.deltas)).hexdigest()
+    golden_ok = blob == CRITERION_4_REPORT and deltas_sha256 == CRITERION_4_DELTAS_SHA256
 
-    _criterion(4, f"p=2/(reps+1) exactly, identical systems p=1.0, worker-invariant "
+    _criterion(4, f"p=2/(reps+1) exactly, identical systems p=1.0, golden-pinned "
                   f"bytes, {elapsed:.1f}s per 10k-rep run on 500 notes",
-               exact and identical_ok and workers_ok and elapsed < 10.0)
+               exact and identical_ok and golden_ok and elapsed < 10.0)
 
 
 # ---------------------------------------------------------------------------

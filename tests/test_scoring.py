@@ -1,7 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotscore.reports import METRIC_COLUMNS, metric_rows, render
 from slotscore.scoring import (
     LABELED_ARG,
     MISSING_SUBTYPE,
@@ -17,7 +21,7 @@ from slotscore.scoring import (
     score_document,
     triggers_equivalent,
 )
-from slotscore.standoff import Corpus, Document, Span, parse_document
+from slotscore.standoff import Corpus, Document, Span, annotation_sort_key, parse_document
 from slotscore.testkit import (
     GeneratorConfig,
     generate_gold,
@@ -114,6 +118,65 @@ def test_align_respects_event_type_boundaries():
     alignment = align_events(gold, pred)
     assert not alignment.matched
     assert len(alignment.unmatched_gold) == len(alignment.unmatched_pred) == 1
+
+
+def _greedy_scan(gold, pred):
+    """The greedy rule with no buckets and no early stop: each gold event in
+    document order takes the first still-unmatched equivalent pred event."""
+
+    def order(doc):
+        def key(event):
+            tb = doc.trigger_of(event)
+            if tb is None:
+                return (1, 0, 0, annotation_sort_key(event.id))
+            return (0, tb.span.start, tb.span.end, annotation_sort_key(event.id))
+
+        return sorted(doc.events.values(), key=key)
+
+    matched, taken = [], set()
+    for g in order(gold):
+        if gold.trigger_of(g) is None:
+            continue
+        for p in order(pred):
+            if p.id in taken or pred.trigger_of(p) is None:
+                continue
+            if triggers_equivalent(
+                (g.event_type, gold.trigger_of(g).span), (p.event_type, pred.trigger_of(p).span)
+            ):
+                matched.append((g.id, p.id))
+                taken.add(p.id)
+                break
+    return matched
+
+
+def _random_trigger_doc(rng, doc_id):
+    """Up to 8 events of two types on a 30-character note: overlapping,
+    discontinuous and trigger-less triggers are all common."""
+    text = "x" * 30
+    lines = []
+    for i in range(1, int(rng.integers(0, 9)) + 1):
+        event_type = ("Drug", "Alcohol")[int(rng.integers(2))]
+        if rng.random() < 0.1:
+            lines.append(f"E{i}\t{event_type}:")
+            continue
+        bounds = sorted(int(b) for b in rng.choice(31, size=2 * int(rng.integers(1, 3)), replace=False))
+        offsets = ";".join(f"{s} {e}" for s, e in zip(bounds[0::2], bounds[1::2]))
+        covered = " ".join(text[s:e] for s, e in zip(bounds[0::2], bounds[1::2]))
+        lines.append(f"T{i}\t{event_type} {offsets}\t{covered}")
+        lines.append(f"E{i}\t{event_type}:T{i}")
+    return parse_document("".join(line + "\n" for line in lines), text, doc_id)
+
+
+def test_bucketed_alignment_equals_plain_greedy_scan():
+    rng = np.random.default_rng(2301)
+    for _ in range(400):
+        gold, pred = _random_trigger_doc(rng, "n1"), _random_trigger_doc(rng, "n1")
+        alignment = align_events(gold, pred)
+        assert [(g.id, p.id) for g, p in alignment.matched] == _greedy_scan(gold, pred)
+        matched_gold = {g.id for g, _ in alignment.matched}
+        matched_pred = {p.id for _, p in alignment.matched}
+        assert {e.id for e in alignment.unmatched_gold} == set(gold.events) - matched_gold
+        assert {e.id for e in alignment.unmatched_pred} == set(pred.events) - matched_pred
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +443,22 @@ def test_deleting_predicted_event_is_monotone(shac):
                 assert after[key].fn >= before[key].fn
 
 
-def test_score_corpus_workers_do_not_change_result(shac):
+# sha256 of the TSV metric report for the corpus below, as rendered by the
+# scorer that built argument tallies pair by pair (before the one-slot model).
+GOLDEN_REPORT_SHA256 = "ee5b996a9ccdaafc888e1fde8856162a1a01417521a4c29ade5ba7d4f6ee1379"
+
+
+def test_score_corpus_matches_golden_pin(shac):
     gold = generate_gold(GeneratorConfig(seed=51, notes=10), shac)
     pred, _ = perturb(gold, GeneratorConfig(seed=51, notes=10, event_drop=0.3), shac)
-    one, _ = score_corpus(gold, pred, shac, workers=1)
-    four, _ = score_corpus(gold, pred, shac, workers=4)
-    assert {k: (c.tp, c.fn, c.fp) for k, c in one.items()} == {
-        k: (c.tp, c.fn, c.fp) for k, c in four.items()
+    first, report = score_corpus(gold, pred, shac)
+    again, _ = score_corpus(gold, pred, shac)
+    assert {k: (c.tp, c.fn, c.fp) for k, c in first.items()} == {
+        k: (c.tp, c.fn, c.fp) for k, c in again.items()
     }
+    assert (report.overall.tp, report.overall.fn, report.overall.fp) == (130, 43, 0)
+    tsv = render(metric_rows(report), METRIC_COLUMNS, "tsv", {})
+    assert hashlib.sha256(tsv.encode()).hexdigest() == GOLDEN_REPORT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,26 @@
 import dataclasses
+import hashlib
+import struct
 
 import pytest
 
 from slotscore.significance import (
     BootstrapConfig,
     BootstrapResult,
+    _note_totals,
     _rep_rng,
     paired_bootstrap,
 )
 from slotscore.standoff import Corpus, Document
-from slotscore.scoring import score_corpus
+from slotscore.scoring import prf, score_corpus
 from slotscore.testkit import GeneratorConfig, generate_gold, perturb
+
+
+def _corpus_of(docs):
+    corpus = Corpus()
+    for doc in docs:
+        corpus.add(doc)
+    return corpus
 
 
 def _empty_like(gold):
@@ -70,20 +80,83 @@ def test_perfect_vs_empty_gives_minimal_p(shac):
     assert result.significant
 
 
-def test_determinism_across_worker_counts(shac, small_world):
-    gold, degraded = small_world
-    results = [
-        paired_bootstrap(
-            gold,
-            gold,
-            degraded,
-            shac,
-            BootstrapConfig(repetitions=500, seed=42, workers=w),
-            keep_deltas=True,
-        )
-        for w in (1, 4, 8)
-    ]
-    assert results[0] == results[1] == results[2]
+def _deltas_sha256(deltas):
+    return hashlib.sha256(struct.pack(f"<{len(deltas)}d", *deltas)).hexdigest()
+
+
+# Output of the per-repetition pure-Python resampler (sum the drawn notes'
+# totals, then prf) on the golden corpus below, 500 repetitions, seed 42:
+# every delta as little-endian doubles, hashed. Any change to a single bit
+# of any delta changes the hash.
+GOLDEN = {
+    "f1_a": 0.7062600321027288,
+    "f1_b": 0.725521669341894,
+    "p_value": 0.6866267465069861,
+    "first_deltas": (-0.09420102323174007, -0.05931458234016629),
+    "deltas_sha256": "15a3cd415cfdd794521cda4d381246db40892e4a6cd4f224bc2c752786dd3d9b",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_world(shac):
+    gold = generate_gold(GeneratorConfig(seed=100, notes=20, density=None), shac)
+    rates = dict(event_drop=0.3, subtype_flip=0.3, event_insert=0.2)
+    a, _ = perturb(gold, GeneratorConfig(seed=100, notes=20, **rates), shac)
+    b, _ = perturb(gold, GeneratorConfig(seed=101, notes=20, **rates), shac)
+    return gold, a, b
+
+
+def _golden_run(shac, golden_world, reps=500):
+    gold, a, b = golden_world
+    return paired_bootstrap(
+        gold, a, b, shac, BootstrapConfig(repetitions=reps, seed=42), keep_deltas=True
+    )
+
+
+def test_golden_pin(shac, golden_world):
+    result = _golden_run(shac, golden_world)
+    assert result.f1_a == GOLDEN["f1_a"]
+    assert result.f1_b == GOLDEN["f1_b"]
+    assert result.p_value == GOLDEN["p_value"]
+    assert result.deltas[:2] == GOLDEN["first_deltas"]
+    assert _deltas_sha256(result.deltas) == GOLDEN["deltas_sha256"]
+    # a tie counts on both sides of the estimator
+    assert 0.0 in result.deltas
+
+
+def test_determinism_against_golden_pin(shac, golden_world):
+    first = _golden_run(shac, golden_world)
+    again = _golden_run(shac, golden_world)
+    assert first == again
+    assert _deltas_sha256(again.deltas) == GOLDEN["deltas_sha256"]
+    # repetition i depends on (seed, i) only: a shorter run is a prefix
+    assert _golden_run(shac, golden_world, reps=120).deltas == first.deltas[:120]
+
+
+def test_resampler_equals_per_rep_loop(shac):
+    # The per-repetition loop the resampler replaced, kept as the reference:
+    # sum the drawn notes' totals, then prf on Python ints. Two of three
+    # notes are empty and system B predicts nothing, so resamples with no
+    # slot at all (every quotient 0/0) and with no prediction are common.
+    gold = generate_gold(GeneratorConfig(seed=3, notes=3, density={"Drug": {1: 1.0}}), shac)
+    gold = _corpus_of(gold[d] if i == 0 else Document(d, gold[d].text)
+                      for i, d in enumerate(gold.doc_ids()))
+    pred_a, _ = perturb(gold, GeneratorConfig(seed=3, notes=3, event_insert=0.5), shac)
+    pred_b = _empty_like(gold)
+    reps, seed = 300, 11
+    result = paired_bootstrap(
+        gold, pred_a, pred_b, shac, BootstrapConfig(repetitions=reps, seed=seed), keep_deltas=True
+    )
+    totals_a = _note_totals(gold, pred_a, shac)
+    totals_b = _note_totals(gold, pred_b, shac)
+    expected = []
+    for rep in range(reps):
+        idx = _rep_rng(seed, rep).integers(0, len(gold), size=len(gold))
+        f1_a = prf(*(int(x) for x in totals_a[idx].sum(axis=0)))[2]
+        f1_b = prf(*(int(x) for x in totals_b[idx].sum(axis=0)))[2]
+        expected.append(f1_a - f1_b)
+    assert result.deltas == tuple(expected)
+    assert 0.0 in result.deltas and any(d > 0.0 for d in result.deltas)
 
 
 def test_seed_changes_deltas(shac, small_world):
@@ -135,8 +208,6 @@ def test_config_invariants():
         BootstrapConfig(repetitions=0)
     with pytest.raises(ValueError):
         BootstrapConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        BootstrapConfig(workers=0)
 
 
 def test_notes_without_gold_slots_are_legal_resamples(shac):

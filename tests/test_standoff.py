@@ -8,6 +8,7 @@ from slotscore.standoff import (
     DocumentMetadata,
     Span,
     StandoffError,
+    TextBound,
     annotation_sort_key,
     load_corpus,
     parse_document,
@@ -88,7 +89,7 @@ def test_parse_attributes():
     doc = parse_document(ann, text, "n1")
     assert doc.attributes["A1"].value == "current"
     assert doc.attributes["A2"].value is None
-    assert doc.attributes_on("T2")["StatusTime"].value == "current"
+    assert doc.attribute_index()[("T2", "StatusTime")].value == "current"
 
 
 def test_two_pass_resolution_is_order_insensitive():
@@ -199,6 +200,33 @@ def test_round_trip_generated_documents(shac, seed):
         assert reparsed == doc
 
 
+# Characters str.splitlines() treats as line ends, plus tab and CR.
+_LINE_BREAKERS = "\r\n\t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x85"])
+def test_line_separator_in_covered_text_round_trips(sep):
+    text = f"coca{sep}ine here"
+    doc = parse_document(f"T1\tDrug 0 8\tcoca{sep}ine\n", text, "n1", strict=True)
+    assert doc.text_bounds["T1"].covered_text == f"coca{sep}ine"
+    assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_round_trip_arbitrary_unicode_text(data):
+    text = data.draw(
+        st.text(st.one_of(st.sampled_from(_LINE_BREAKERS), st.characters()), min_size=1)
+    )
+    text_bounds = {}
+    for i in range(1, data.draw(st.integers(1, 3)) + 1):
+        bounds = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=5)))
+        span = Span(tuple(zip(bounds[0::2], bounds[1::2])))
+        text_bounds[f"T{i}"] = TextBound(f"T{i}", "Drug", span, span.extract(text))
+    doc = Document("n1", text, text_bounds=text_bounds)
+    assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
+
+
 def test_strict_parse_implies_identical_lenient_parse(shac):
     corpus = generate_gold(GeneratorConfig(seed=5, notes=4), shac)
     for doc in corpus:
@@ -284,6 +312,29 @@ def test_write_then_load_round_trip(tmp_path, shac):
     assert loaded.doc_ids() == corpus.doc_ids()
     for doc_id in corpus.doc_ids():
         assert loaded[doc_id] == corpus[doc_id]
+
+
+def test_crlf_note_keeps_offsets(tmp_path, caplog):
+    # BRAT offsets count the CR of every CRLF; a correct annotation after
+    # the first line break must load strictly and score its own span
+    text = "Social history:\r\nPatient smokes daily.\r\n"
+    start = text.index("smokes")
+    ann = f"T1\tTobacco {start} {start + 6}\tsmokes\r\n"
+    (tmp_path / "n1.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "n1.ann").write_bytes(ann.encode("utf-8"))
+
+    strict = load_corpus(tmp_path, strict=True)["n1"]
+    assert strict.text == text
+    assert strict.text_bounds["T1"].covered_text == "smokes"
+    with caplog.at_level("WARNING"):
+        lenient = load_corpus(tmp_path)["n1"]
+    assert lenient == strict
+    assert caplog.text == ""
+
+    out = tmp_path / "out"
+    write_corpus(load_corpus(tmp_path, strict=True), out)
+    assert (out / "n1.txt").read_bytes() == text.encode("utf-8")
+    assert load_corpus(out, strict=True)["n1"] == strict
 
 
 def test_corpus_rejects_duplicate_add():
