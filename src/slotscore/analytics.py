@@ -2,9 +2,9 @@
 
 Covers note counts per partition, gold events per note, per-subtype
 performance, and performance by event density (how many gold events of a
-type a note carries: 1, 2, or 3+). All breakdowns reuse the same per-note
-alignment pass as corpus scoring; they are different views, never a
-different computation.
+type a note carries: 1, 2, or 3+). Each breakdown scores the corpus again
+through ``per_document_counts``, the same per-note tallies that corpus
+scoring uses, and reads its rows from them; none has its own scoring rules.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .schema import LABELED, AnnotationSchema
 from .scoring import (
     LABELED_ARG,
+    Counts,
     Metrics,
     ScoreCounts,
     per_document_counts,
@@ -130,7 +131,7 @@ class DensityRow:
 class _DensityCell:
     note_count: int = 0
     gold_events: int = 0
-    counts: ScoreCounts = field(default_factory=ScoreCounts)
+    counts: Counts = field(default_factory=Counts)
 
 
 def density_breakdown(
@@ -149,15 +150,16 @@ def density_breakdown(
     for doc_id, counts in doc_counts.items():
         doc = gold[doc_id]
         gold_by_type: Counter = Counter(e.event_type for e in doc.events.values())
-        for event_type in sorted(set(gold_by_type) | counts.event_types()):
+        # The note's tallies summed per event type, in one pass over its cells.
+        totals: dict[str, Counts] = {}
+        for key, tally in counts.counts.items():
+            totals.setdefault(key.event_type, Counts()).__iadd__(tally)
+        for event_type in set(gold_by_type) | set(totals):
             n_gold = gold_by_type.get(event_type, 0)
-            restricted = counts.restricted_to_event_type(event_type)
-            if n_gold == 0 and not restricted.counts:
-                continue
             cell = cells.setdefault((event_type, bucket_label(n_gold)), _DensityCell())
             cell.note_count += 1
             cell.gold_events += n_gold
-            cell.counts.merge(restricted)
+            cell.counts += totals.get(event_type, Counts())
 
     rows = [
         DensityRow(
@@ -165,7 +167,7 @@ def density_breakdown(
             bucket=bucket,
             note_count=cell.note_count,
             gold_events=cell.gold_events,
-            metrics=Metrics.from_counts(cell.counts.total()),
+            metrics=Metrics.from_counts(cell.counts),
         )
         for (event_type, bucket), cell in cells.items()
     ]

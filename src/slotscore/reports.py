@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .analytics import CorpusStats, DensityRow, SubtypeRow
+from .analytics import CorpusStats
 from .schema import Violation
 from .scoring import MetricReport, Metrics
 from .significance import BootstrapResult
@@ -38,32 +38,6 @@ STATS_COLUMNS = (
     "subtype",
     "count",
     "average",
-)
-SUBTYPE_COLUMNS = (
-    "event_type",
-    "argument_type",
-    "subtype",
-    "gold",
-    "pred",
-    "avg_gold_per_note",
-    "tp",
-    "fn",
-    "fp",
-    "precision",
-    "recall",
-    "f1",
-)
-DENSITY_COLUMNS = (
-    "event_type",
-    "bucket",
-    "notes",
-    "gold_events",
-    "tp",
-    "fn",
-    "fp",
-    "precision",
-    "recall",
-    "f1",
 )
 BOOTSTRAP_COLUMNS = (
     "f1_a",
@@ -180,34 +154,6 @@ def stats_rows(stats: CorpusStats) -> list[dict]:
             }
         )
     return rows
-
-
-def subtype_rows(rows: list[SubtypeRow]) -> list[dict]:
-    return [
-        {
-            "event_type": r.event_type,
-            "argument_type": r.argument_type,
-            "subtype": r.subtype,
-            "gold": r.gold_count,
-            "pred": r.pred_count,
-            "avg_gold_per_note": r.avg_gold_per_note,
-            **_metrics_cells(r.metrics),
-        }
-        for r in rows
-    ]
-
-
-def density_rows(rows: list[DensityRow]) -> list[dict]:
-    return [
-        {
-            "event_type": r.event_type,
-            "bucket": r.bucket,
-            "notes": r.note_count,
-            "gold_events": r.gold_events,
-            **_metrics_cells(r.metrics),
-        }
-        for r in rows
-    ]
 
 
 def bootstrap_rows(result: BootstrapResult) -> list[dict]:

@@ -155,9 +155,6 @@ class ScoreCounts:
                 out.tally(key, cell.tp, cell.fn, cell.fp)
         return out
 
-    def event_types(self) -> set[str]:
-        return {key.event_type for key in self.counts}
-
 
 @dataclass(frozen=True)
 class MetricReport:

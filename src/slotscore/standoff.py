@@ -8,12 +8,16 @@ mode and rejects them in strict mode.
 
 All character offsets are Unicode code-point offsets into the note text
 as stored, never byte offsets: a CRLF line ending counts as two
-characters, and only LF ends an ``.ann`` line. Parsed documents are
-immutable by convention and safe to share across threads.
+characters, and only LF ends an ``.ann`` line. A UTF-8 byte-order mark at
+the start of a note is kept as its code point 0 (U+FEFF), so offsets count
+it, as BRAT's offsets into the decoded file do; ``write_corpus`` writes it
+back. Parsed documents are immutable by convention and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -49,7 +53,7 @@ def annotation_sort_key(ann_id: str) -> tuple:
     return (ann_id, -1, ann_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A (possibly discontinuous) character span: sorted, non-overlapping
     half-open fragments."""
@@ -92,10 +96,13 @@ class Span:
 
     def extract(self, text: str) -> str:
         """Fragment substrings of ``text`` joined by a single space."""
+        if len(self.fragments) == 1:
+            start, end = self.fragments[0]
+            return text[start:end]
         return " ".join(text[s:e] for s, e in self.fragments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextBound:
     """An annotated span with a type label and the text it covers."""
 
@@ -105,7 +112,7 @@ class TextBound:
     covered_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventAnnotation:
     """A trigger text-bound plus role-labeled argument text-bounds.
 
@@ -120,7 +127,7 @@ class EventAnnotation:
     arguments: tuple[tuple[str, str], ...] = ()  # (role, target text-bound id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeAnnotation:
     """A named value attached to a text-bound or event (e.g. a subtype label)."""
 
@@ -220,7 +227,10 @@ def _lines(text: str) -> list[str]:
     """Lines split on LF only, each stripped of one trailing CR. Unlike
     ``str.splitlines``, characters such as U+2028, form feed or NEL inside
     a line (say, in covered text) do not end it."""
-    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+    lines = text.split("\n")
+    if "\r" not in text:
+        return lines
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def _read_raw(path: Path) -> str:
@@ -231,6 +241,18 @@ def _read_raw(path: Path) -> str:
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
+    pieces = offsets.split()
+    if len(pieces) == 2:
+        a, b = pieces
+        # One fragment of plain ASCII digits with end > start is already a
+        # valid span; build it without validating it a second time. Signs,
+        # underscores, non-ASCII digits and ";" take the general path below.
+        if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
+            start, end = int(a), int(b)
+            if end > start:
+                span = object.__new__(Span)
+                object.__setattr__(span, "fragments", ((start, end),))
+                return span
     fragments = []
     for part in offsets.split(";"):
         pieces = part.split()
@@ -296,7 +318,11 @@ def parse_document(
                     f"span {span.fragments} exceeds text length {len(doc_text)}", doc_id, line_no
                 )
             covered = span.extract(doc_text)
-            if _flatten_ws(covered) != stated_text:
+            # The stated text cannot hold LF or tab (they end the line or the
+            # field), so when it equals the slice only a CR can flatten away.
+            if (covered != stated_text or "\r" in covered) and (
+                _flatten_ws(covered) != stated_text
+            ):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
                     f"text has {covered!r}"
@@ -324,7 +350,11 @@ def parse_document(
                 if len(bits) != 2 or not bits[0] or not bits[1]:
                     fail_or_warn(f"malformed event argument {pair!r} on {ann_id}", line_no)
                     continue
-                role = _ROLE_SUFFIX_RE.sub("", bits[0])
+                role = bits[0]
+                # \d is exactly what str.isdecimal accepts, so a role that
+                # ends in no digit has no suffix to strip.
+                if role[-1].isdecimal():
+                    role = _ROLE_SUFFIX_RE.sub("", role)
                 args.append((role, bits[1]))
             raw_events.append((line_no, ann_id, event_type, trigger, args))
 
@@ -500,39 +530,50 @@ def load_corpus(
     root = Path(directory)
     if not root.is_dir():
         raise StandoffError(f"corpus directory not found: {root}")
-    rules = parse_manifest(Path(manifest).read_text(encoding="utf-8")) if manifest else []
+    # A load builds hundreds of thousands of records that form no cycles.
+    # Full collections while it runs walk the growing heap and free nothing,
+    # so the collector is paused and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rules = parse_manifest(Path(manifest).read_text(encoding="utf-8")) if manifest else []
 
-    txt_files = sorted(root.rglob("*.txt"))
-    stray_ann = [p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()]
-    if stray_ann:
-        raise StandoffError(f"annotation file without note text: {stray_ann[0]}")
+        txt_files = sorted(root.rglob("*.txt"))
+        stray_ann = [
+            p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()
+        ]
+        if stray_ann:
+            raise StandoffError(f"annotation file without note text: {stray_ann[0]}")
 
-    corpus = Corpus()
-    for txt_path in txt_files:
-        doc_id = txt_path.stem
-        rel = txt_path.relative_to(root).with_suffix("").as_posix()
-        text = _read_raw(txt_path)
-        metadata = _metadata_for(rel, doc_id, rules)
-        ann_path = txt_path.with_suffix(".ann")
-        if ann_path.exists():
-            try:
-                doc = parse_document(
-                    _read_raw(ann_path),
-                    text,
-                    doc_id=doc_id,
-                    strict=strict,
-                    metadata=metadata,
-                )
-            except StandoffError:
-                raise
-            except OSError as exc:
-                raise StandoffError(f"cannot read {ann_path}: {exc}") from exc
-        elif require_ann:
-            raise StandoffError(f"missing annotation file for {txt_path}")
-        else:
-            doc = empty_document(doc_id, text, metadata)
-        corpus.add(doc)
-    return corpus
+        corpus = Corpus()
+        for txt_path in txt_files:
+            doc_id = txt_path.stem
+            rel = txt_path.relative_to(root).with_suffix("").as_posix()
+            text = _read_raw(txt_path)
+            metadata = _metadata_for(rel, doc_id, rules)
+            ann_path = txt_path.with_suffix(".ann")
+            if ann_path.exists():
+                try:
+                    doc = parse_document(
+                        _read_raw(ann_path),
+                        text,
+                        doc_id=doc_id,
+                        strict=strict,
+                        metadata=metadata,
+                    )
+                except StandoffError:
+                    raise
+                except OSError as exc:
+                    raise StandoffError(f"cannot read {ann_path}: {exc}") from exc
+            elif require_ann:
+                raise StandoffError(f"missing annotation file for {txt_path}")
+            else:
+                doc = empty_document(doc_id, text, metadata)
+            corpus.add(doc)
+        return corpus
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def write_corpus(corpus: Corpus, directory: str | Path) -> None:

@@ -1,11 +1,20 @@
+import gc
+import logging
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotscore import standoff
 from slotscore.standoff import (
+    AttributeAnnotation,
     Corpus,
     Document,
     DocumentMetadata,
+    EventAnnotation,
     Span,
     StandoffError,
     TextBound,
@@ -68,13 +77,16 @@ def test_parse_event_and_role_suffix():
         "T2\tType 12 16\tmore\n"
         "T3\tStatusTime 17 22\twords\n"
         "T4\tStatusTime 23 27\there\n"
-        "E1\tDrug:T1 Status:T3 Type:T2 Status2:T4\n"
+        "T5\tType 28 35\tpadding\n"
+        "E1\tDrug:T1 Status:T3 Type:T2 Status2:T4 Type٣:T5\n"
     )
     doc = parse_document(ann, text, "n1")
     ev = doc.events["E1"]
     assert ev.event_type == "Drug"
     assert ev.trigger == "T1"
-    assert ev.arguments == (("Status", "T3"), ("Type", "T2"), ("Status", "T4"))
+    assert ev.arguments == (
+        ("Status", "T3"), ("Type", "T2"), ("Status", "T4"), ("Type", "T5")
+    )
 
 
 def test_parse_attributes():
@@ -236,6 +248,188 @@ def test_strict_parse_implies_identical_lenient_parse(shac):
         assert strict == lenient
 
 
+# ---------------------------------------------------------------------------
+# One T line against the public Span and the documented rules
+# ---------------------------------------------------------------------------
+
+def _t_line_by_the_rules(offsets, stated, text, strict):
+    """What the line ``T1<TAB>Drug <offsets><TAB><stated>`` must give, worked
+    out with the public ``Span`` alone: ``("error", message, line_no)`` or
+    ``("ok", text_bound, warnings)``."""
+    # An .ann line loses one trailing CR; its third tab field is the stated text.
+    line = f"T1\tDrug {offsets}\t{stated}"
+    stated = (line[:-1] if line.endswith("\r") else line).split("\t")[2]
+
+    def error(message):
+        return ("error", f"n1:1: {message}", 1)
+
+    fragments = []
+    for part in offsets.split(";"):
+        pieces = part.split()
+        if len(pieces) != 2:
+            return error(f"malformed span offsets {offsets!r}")
+        try:
+            fragments.append((int(pieces[0]), int(pieces[1])))
+        except ValueError:
+            return error(f"non-integer span offsets {offsets!r}")
+    try:
+        span = Span(tuple(sorted(fragments)))
+    except ValueError as exc:
+        return error(f"invalid span {offsets!r}: {exc}")
+    if span.end > len(text):
+        return error(f"span {span.fragments} exceeds text length {len(text)}")
+    covered = " ".join(text[s:e] for s, e in span.fragments)
+    warnings = []
+    if covered.replace("\n", " ").replace("\r", " ").replace("\t", " ") != stated:
+        message = f"covered text mismatch for T1: file says {stated!r}, text has {covered!r}"
+        if strict:
+            return error(message)
+        warnings.append(f"n1:1: {message}")
+    return ("ok", TextBound("T1", "Drug", span, covered), warnings)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _parse_t_line(offsets, stated, text, strict):
+    logger = logging.getLogger(standoff.__name__)
+    handler, level = _Warnings(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        doc = parse_document(f"T1\tDrug {offsets}\t{stated}\n", text, "n1", strict=strict)
+    except StandoffError as exc:
+        return ("error", str(exc), exc.line_no)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return ("ok", doc.text_bounds["T1"], handler.messages)
+
+
+_NOTE = "patient w cocaine use\r\tdaily"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "offsets, stated, text",
+    [
+        ("10 17", "cocaine", _NOTE),
+        ("10 17", "coke", _NOTE),
+        ("0 7;10 17", "patient cocaine", _NOTE),
+        ("10 17;0 7", "patient cocaine", _NOTE),  # fragments sorted
+        ("0 7;5 9", "x", _NOTE),  # overlapping fragments
+        ("+10 17", "cocaine", _NOTE),
+        ("10 +17", "cocaine", _NOTE),
+        ("١٠ 17", "cocaine", _NOTE),  # Arabic-Indic "10"
+        ("10 ١٧", "cocaine", _NOTE),
+        ("1_0 17", "cocaine", _NOTE),
+        ("10 1⁷", "cocaine", _NOTE),
+        ("010 0017", "cocaine", _NOTE),
+        ("10 10", "", _NOTE),  # zero-length
+        ("17 10", "cocaine", _NOTE),  # reversed
+        ("-1 4", "pati", _NOTE),  # negative
+        ("10 99", "cocaine", _NOTE),  # end out of bounds
+        ("10 28", "cocaine use  daily", _NOTE),  # end at the text's end
+        ("10 29", "cocaine use  daily", _NOTE),
+        ("10", "cocaine", _NOTE),
+        ("10 17 20", "cocaine", _NOTE),
+        ("ten 17", "cocaine", _NOTE),
+        ("10 17;", "cocaine", _NOTE),
+        ("18 22", "use ", _NOTE),  # CR in the covered text, flattened
+        ("18 22", "use\r", _NOTE),  # the line's one trailing CR is stripped
+        ("18 22", "use\r\r", _NOTE),
+        ("18 23", "use\r\t", _NOTE),  # tab ends the stated-text field
+        ("18 23", "use  ", _NOTE),
+        ("0 5", "ab\rcd", "ab\rcd"),  # a mid-line CR never matches the text
+        ("0 5", "ab cd", "ab\rcd"),
+        ("0 5", "ab cd", "ab\tcd"),
+        ("0 5", "ab\tcd", "ab\tcd"),
+        ("0 5", "ab cd", "ab\ncd"),
+    ],
+)
+def test_t_line_follows_the_rules(offsets, stated, text, strict):
+    assert _parse_t_line(offsets, stated, text, strict) == _t_line_by_the_rules(
+        offsets, stated, text, strict
+    )
+
+
+_DIGITS = {
+    "ascii": "0123456789",
+    "arabic": "٠١٢٣٤٥٦٧٨٩",
+    "fullwidth": "０１２３４５６７８９",
+    "superscript": "⁰¹²³⁴⁵⁶⁷⁸⁹",  # str.isdigit() holds, int() refuses
+}
+
+
+@st.composite
+def _offset_token(draw, text_len):
+    n = draw(st.integers(-3, text_len + 3))
+    styles = ["plain", "plain", "plus", "zeros", "underscore", "digits", "word"]
+    style = draw(st.sampled_from(styles))
+    if style == "plus":
+        return f"+{n}"
+    if style == "zeros":
+        return f"0{n}"
+    if style == "underscore":
+        return f"{n // 10}_{n % 10}" if n >= 0 else f"-0_{-n}"
+    if style == "digits":
+        digits = _DIGITS[draw(st.sampled_from(sorted(_DIGITS)))]
+        return str(n).translate(str.maketrans("0123456789", digits))
+    if style == "word":
+        return draw(st.sampled_from(["x", "", "1.5", "0x1"]))
+    return str(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_t_line_matches_public_span_on_drawn_offsets(data):
+    text = data.draw(st.text(st.sampled_from("ab \t\r\né \U0001f600"), max_size=14))
+    fragments = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        tokens = [data.draw(_offset_token(len(text))) for _ in range(data.draw(st.integers(1, 3)))]
+        fragments.append(data.draw(st.sampled_from([" ", "  ", "\xa0"])).join(tokens))
+    offsets = ";".join(fragments)
+    strict = data.draw(st.booleans())
+    expected = _t_line_by_the_rules(offsets, "", text, strict=False)
+    covered = expected[1].covered_text if expected[0] == "ok" else ""
+    stated = data.draw(
+        st.sampled_from([covered, covered.replace("\r", " ").replace("\t", " "), covered + "\r"])
+        | st.text(st.sampled_from("ab \t\ré"), max_size=6)
+    ).replace("\n", " ")
+    assert _parse_t_line(offsets, stated, text, strict) == _t_line_by_the_rules(
+        offsets, stated, text, strict
+    )
+
+
+def test_annotation_records_are_slotted():
+    span = Span(((0, 4), (6, 9)))
+    records = [
+        span,
+        TextBound("T1", "Drug", span, "text"),
+        EventAnnotation("E1", "Drug", "T1", (("Status", "T2"),)),
+        AttributeAnnotation("A1", "StatusTime", "T2", "current"),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        copy = replace(record)
+        assert copy == record and hash(copy) == hash(record)
+    assert replace(records[1], label="Type") != records[1]
+    assert replace(span, fragments=[(6, 9)]) == Span.single(6, 9)
+    with pytest.raises(ValueError):
+        replace(span, fragments=((4, 4),))
+    # A span built from one plain line equals and hashes as the public one.
+    parsed = parse_document("T1\tDrug 10 17\tcocaine\n", _NOTE, "n1").text_bounds["T1"]
+    assert not hasattr(parsed.span, "__dict__")
+    assert parsed.span == Span.single(10, 17) and hash(parsed.span) == hash(Span.single(10, 17))
+    assert type(parsed.span.fragments[0][0]) is int
+
+
 def test_annotation_sort_key_orders_numerically():
     ids = ["T10", "T2", "T1", "E3", "E20"]
     assert sorted(ids, key=annotation_sort_key) == ["E3", "E20", "T1", "T2", "T10"]
@@ -335,6 +529,72 @@ def test_crlf_note_keeps_offsets(tmp_path, caplog):
     write_corpus(load_corpus(tmp_path, strict=True), out)
     assert (out / "n1.txt").read_bytes() == text.encode("utf-8")
     assert load_corpus(out, strict=True)["n1"] == strict
+
+
+def test_bom_counts_as_code_point_zero(tmp_path):
+    # A leading U+FEFF stays in the note as its first character, so offsets
+    # count it, as BRAT's offsets into the decoded file do.
+    text = "\ufeffPatient smokes daily.\n"
+    start = text.index("smokes")
+    (tmp_path / "n1.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "n1.ann").write_bytes(f"T1\tTobacco {start} {start + 6}\tsmokes\n".encode("utf-8"))
+
+    doc = load_corpus(tmp_path, strict=True)["n1"]
+    assert doc.text == text and start == 9
+    assert doc.text_bounds["T1"].covered_text == "smokes"
+    out = tmp_path / "out"
+    write_corpus(load_corpus(tmp_path, strict=True), out)
+    for name in ("n1.txt", "n1.ann"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert load_corpus(out, strict=True)["n1"] == doc
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("layout", ["pairs", "stray_ann", "malformed_line"])
+def test_load_corpus_leaves_collector_as_found(tmp_path, monkeypatch, enabled, layout):
+    _write_note(tmp_path, "n1", "cocaine use", "T1\tDrug 0 7\tcocaine\n")
+    if layout == "stray_ann":
+        (tmp_path / "x.ann").write_text("", encoding="utf-8")
+    elif layout == "malformed_line":
+        _write_note(tmp_path, "n2", "cocaine use", "Zebra\n")
+    collecting_during_parse = []
+
+    def parse_and_record(*args, **kwargs):
+        collecting_during_parse.append(gc.isenabled())
+        return parse_document(*args, **kwargs)
+
+    monkeypatch.setattr(standoff, "parse_document", parse_and_record)
+    was_enabled = gc.isenabled()
+    _set_collector(enabled)
+    try:
+        if layout == "pairs":
+            assert len(load_corpus(tmp_path)) == 1
+        else:
+            with pytest.raises(StandoffError):
+                load_corpus(tmp_path)
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was_enabled)
+    assert not any(collecting_during_parse)
+    notes_parsed = {"pairs": 1, "stray_ann": 0, "malformed_line": 2}[layout]
+    assert len(collecting_during_parse) == notes_parsed
+
+
+def test_only_load_corpus_touches_the_collector():
+    package = Path(standoff.__file__).parent
+    users = [
+        p.name
+        for p in sorted(package.glob("*.py"))
+        if re.search(r"\bgc\.", p.read_text(encoding="utf-8"))
+    ]
+    assert users == ["standoff.py"]
 
 
 def test_corpus_rejects_duplicate_add():
