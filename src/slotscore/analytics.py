@@ -2,9 +2,10 @@
 
 Covers note counts per partition, gold events per note, per-subtype
 performance, and performance by event density (how many gold events of a
-type a note carries: 1, 2, or 3+). Each breakdown scores the corpus again
-through ``per_document_counts``, the same per-note tallies that corpus
-scoring uses, and reads its rows from them; none has its own scoring rules.
+type a note carries: 1, 2, or 3+). The breakdowns have no scoring rules or
+document walks of their own: the subtype table is the labeled-argument rows
+of ``score_corpus``'s report, and the density table is read from the
+per-note tallies of ``per_document_counts``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from dataclasses import dataclass, field
 from .schema import LABELED, AnnotationSchema
 from .scoring import (
     LABELED_ARG,
+    TRIGGER,
     Counts,
     Metrics,
-    ScoreCounts,
     per_document_counts,
     resolve_subtype,
+    score_corpus,
 )
 from .standoff import Corpus
 
@@ -93,29 +95,22 @@ def subtype_breakdown(
 ) -> list[SubtypeRow]:
     """Per-subtype performance rows, ordered by (event type, argument type,
     subtype). Subtypes absent from both gold and pred have no row."""
-    total = ScoreCounts()
-    for counts in per_document_counts(gold, pred, schema).values():
-        total.merge(counts)
+    _, report = score_corpus(gold, pred, schema)
     n = len(gold)
-
-    rows = []
-    for key, cell in total.items():
-        if key.kind != LABELED_ARG:
-            continue
-        gold_count = cell.tp + cell.fn
-        rows.append(
-            SubtypeRow(
-                event_type=key.event_type,
-                argument_type=key.argument_type,
-                subtype=key.subtype,
-                gold_count=gold_count,
-                pred_count=cell.tp + cell.fp,
-                avg_gold_per_note=gold_count / n if n else 0.0,
-                metrics=Metrics.from_counts(cell),
-            )
+    return [
+        SubtypeRow(
+            event_type=key.event_type,
+            argument_type=key.argument_type,
+            subtype=key.subtype,
+            gold_count=m.tp + m.fn,
+            pred_count=m.tp + m.fp,
+            avg_gold_per_note=(m.tp + m.fn) / n if n else 0.0,
+            metrics=m,
         )
-    rows.sort(key=lambda r: (r.event_type, r.argument_type, r.subtype))
-    return rows
+        # per_key is in (kind, event type, argument type, subtype) order.
+        for key, m in report.per_key.items()
+        if key.kind == LABELED_ARG
+    ]
 
 
 @dataclass(frozen=True)
@@ -145,21 +140,23 @@ def density_breakdown(
     gold events and no predictions of a type contribute nothing to it.
     """
     cells: dict[tuple[str, str], _DensityCell] = {}
-    doc_counts = per_document_counts(gold, pred, schema)
 
-    for doc_id, counts in doc_counts.items():
-        doc = gold[doc_id]
-        gold_by_type: Counter = Counter(e.event_type for e in doc.events.values())
+    for counts in per_document_counts(gold, pred, schema).values():
         # The note's tallies summed per event type, in one pass over its cells.
         totals: dict[str, Counts] = {}
+        gold_count: dict[str, int] = {}
         for key, tally in counts.counts.items():
             totals.setdefault(key.event_type, Counts()).__iadd__(tally)
-        for event_type in set(gold_by_type) | set(totals):
-            n_gold = gold_by_type.get(event_type, 0)
-            cell = cells.setdefault((event_type, bucket_label(n_gold)), _DensityCell())
+            # Every gold event fills its trigger slot once, as a tp or an fn,
+            # trigger-less and undeclared-type events included.
+            if key.kind == TRIGGER:
+                gold_count[key.event_type] = tally.tp + tally.fn
+        for event_type, total in totals.items():
+            n = gold_count.get(event_type, 0)
+            cell = cells.setdefault((event_type, bucket_label(n)), _DensityCell())
             cell.note_count += 1
-            cell.gold_events += n_gold
-            cell.counts += totals.get(event_type, Counts())
+            cell.gold_events += n
+            cell.counts += total
 
     rows = [
         DensityRow(

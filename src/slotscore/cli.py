@@ -50,18 +50,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="schema config file (default: built-in social-history scheme, "
         f"or ${SCHEMA_ENV_VAR})",
     )
-    parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("tsv", "json"), default="tsv", help="report format (default: tsv)"
-    )
-    parser.add_argument("--strict", action="store_true", help="reject recoverable .ann defects")
-    parser.add_argument("--stamp", action="store_true", help="add a timestamp header to reports")
     parser.add_argument(
         "--log-level",
         default="warning",
         choices=("debug", "info", "warning", "error"),
         help="logging verbosity (default: warning)",
     )
+
+
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
+    """Options of the commands that load corpora and write a report."""
+    _add_common(parser)
+    parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--format", choices=("tsv", "json"), default="tsv", help="report format (default: tsv)"
+    )
+    parser.add_argument("--strict", action="store_true", help="reject recoverable .ann defects")
+    parser.add_argument("--stamp", action="store_true", help="add a timestamp header to reports")
 
 
 def build_parser() -> _Parser:
@@ -71,7 +76,7 @@ def build_parser() -> _Parser:
     p_score = sub.add_parser("score", help="score predicted annotations against gold")
     p_score.add_argument("gold", help="gold corpus directory")
     p_score.add_argument("pred", help="predicted corpus directory")
-    _add_common(p_score)
+    _add_report_options(p_score)
     p_score.set_defaults(func=cmd_score)
 
     p_cmp = sub.add_parser("compare", help="paired bootstrap comparison of two systems")
@@ -85,19 +90,19 @@ def build_parser() -> _Parser:
                        help="significance level (default: 0.05)")
     p_cmp.add_argument("--dump-deltas", metavar="PATH",
                        help="write every resample F1 delta, one per line")
-    _add_common(p_cmp)
+    _add_report_options(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_stats = sub.add_parser("stats", help="corpus statistics")
     p_stats.add_argument("corpus", help="corpus directory")
     p_stats.add_argument("--manifest", metavar="PATH",
                          help="doc_id/prefix -> source, split mapping")
-    _add_common(p_stats)
+    _add_report_options(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
     p_val = sub.add_parser("validate", help="check a corpus against the schema")
     p_val.add_argument("corpus", help="corpus directory")
-    _add_common(p_val)
+    _add_report_options(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_gen = sub.add_parser("gen", help="emit a synthetic fixture corpus (dev tool)")

@@ -77,9 +77,6 @@ class Counts:
     fn: int = 0
     fp: int = 0
 
-    def __add__(self, other: "Counts") -> "Counts":
-        return Counts(self.tp + other.tp, self.fn + other.fn, self.fp + other.fp)
-
     def __iadd__(self, other: "Counts") -> "Counts":
         self.tp += other.tp
         self.fn += other.fn

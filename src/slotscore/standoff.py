@@ -11,8 +11,9 @@ as stored, never byte offsets: a CRLF line ending counts as two
 characters, and only LF ends an ``.ann`` line. A UTF-8 byte-order mark at
 the start of a note is kept as its code point 0 (U+FEFF), so offsets count
 it, as BRAT's offsets into the decoded file do; ``write_corpus`` writes it
-back. Parsed documents are immutable by convention and safe to share
-across threads.
+back. One at the start of an ``.ann`` file is dropped, because no offset
+points into the ``.ann``; line numbers do not change. Parsed documents are
+immutable by convention and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -170,9 +171,6 @@ class Document:
         each call; a caller that looks up many attributes builds it once."""
         return {(a.target, a.name): a for a in self.attributes.values()}
 
-    def events_of_type(self, event_type: str) -> list[EventAnnotation]:
-        return [e for e in self.events.values() if e.event_type == event_type]
-
     def with_metadata(self, metadata: DocumentMetadata) -> "Document":
         return replace(self, metadata=metadata)
 
@@ -235,9 +233,13 @@ def _lines(text: str) -> list[str]:
 
 def _read_raw(path: Path) -> str:
     """File text with line endings untouched: BRAT offsets count every code
-    point of the file, CR included."""
-    with open(path, encoding="utf-8", newline="") as f:
-        return f.read()
+    point of the file, CR included. A file that cannot be read or decoded
+    raises a StandoffError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StandoffError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
@@ -288,6 +290,8 @@ def parse_document(
     Raises StandoffError for malformed syntax, out-of-bounds offsets,
     dangling references, and duplicate ids in either mode.
     """
+    if ann_text.startswith("\ufeff"):
+        ann_text = ann_text[1:]
     text_bounds: dict[str, TextBound] = {}
     raw_events: list[tuple[int, str, str, str | None, list[tuple[str, str]]]] = []
     raw_attrs: list[tuple[int, str, str, str, str | None]] = []
@@ -517,15 +521,14 @@ def load_corpus(
     directory: str | Path,
     manifest: str | Path | None = None,
     strict: bool = False,
-    require_ann: bool = False,
 ) -> Corpus:
     """Load every ``<id>.txt`` / ``<id>.ann`` pair under ``directory``.
 
     A missing ``.ann`` yields a document with no annotations (a system may
-    predict nothing for a note) unless ``require_ann`` is set; a ``.ann``
-    without its ``.txt`` is always an error. Metadata comes from manifest
-    rules when given, else from directory-name conventions (path components
-    named mimic/uw or train/dev/test).
+    predict nothing for a note); a ``.ann`` without its ``.txt`` is an
+    error. Metadata comes from manifest rules when given, else from
+    directory-name conventions (path components named mimic/uw or
+    train/dev/test).
     """
     root = Path(directory)
     if not root.is_dir():
@@ -553,20 +556,9 @@ def load_corpus(
             metadata = _metadata_for(rel, doc_id, rules)
             ann_path = txt_path.with_suffix(".ann")
             if ann_path.exists():
-                try:
-                    doc = parse_document(
-                        _read_raw(ann_path),
-                        text,
-                        doc_id=doc_id,
-                        strict=strict,
-                        metadata=metadata,
-                    )
-                except StandoffError:
-                    raise
-                except OSError as exc:
-                    raise StandoffError(f"cannot read {ann_path}: {exc}") from exc
-            elif require_ann:
-                raise StandoffError(f"missing annotation file for {txt_path}")
+                doc = parse_document(
+                    _read_raw(ann_path), text, doc_id=doc_id, strict=strict, metadata=metadata
+                )
             else:
                 doc = empty_document(doc_id, text, metadata)
             corpus.add(doc)

@@ -215,6 +215,37 @@ def test_density_matches_brute_force_rescoring(shac):
     assert rows == brute_force_density(gold, pred, shac)
 
 
+def test_density_matches_brute_force_on_lenient_notes(shac):
+    # Where a note's gold count could differ from its trigger cell's tp + fn:
+    # a trigger-less gold event (n1), a type the schema does not declare
+    # (Pet), a type only the prediction has (Drug on n2) and a gold note
+    # with no prediction file (n3).
+    text = "drugs current cocaine pad cat dog"
+    drug = (
+        "T1\tDrug 0 5\tdrugs\n"
+        "T2\tStatusTime 6 13\tcurrent\n"
+        "T3\tType 14 21\tcocaine\n"
+        "E1\tDrug:T1 Status:T2 Type:T3\n"
+        "A1\tStatusTime T2 current\n"
+    )
+    cat = "T4\tPet 26 29\tcat\nE3\tPet:T4\n"
+    dog = "T5\tPet 30 33\tdog\nE4\tPet:T5\n"
+    gold = _corpus(
+        parse_document(drug + "E2\tDrug: Status:T2\n" + cat, text, "n1"),
+        parse_document(cat, text, "n2"),
+        parse_document(drug + cat + dog, text, "n3"),
+    )
+    pred = _corpus(
+        parse_document(drug.replace("T2 current", "T2 past") + cat, text, "n1"),
+        parse_document(drug, text, "n2"),
+    )
+    assert gold["n1"].events["E2"].trigger is None and "n3" not in pred
+    rows = {(r.event_type, r.bucket): (r.note_count, r.gold_events, r.metrics)
+            for r in density_breakdown(gold, pred, shac)}
+    assert set(rows) == {("Drug", "0"), ("Drug", "1"), ("Drug", "2"), ("Pet", "1"), ("Pet", "2")}
+    assert rows == brute_force_density(gold, pred, shac)
+
+
 def test_density_buckets_partition_type_counts(shac):
     # buckets 1/2/3+ restricted to an event type sum to the corpus-level
     # counts for notes that carry at least one gold event of the type

@@ -189,6 +189,17 @@ def test_gen_seed_override(tmp_path, capsys):
     assert a != b
 
 
+def test_gen_takes_no_report_options(tmp_path, capsys):
+    config = tmp_path / "gen.yaml"
+    config.write_text("notes: 2\nseed: 2\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    assert main(["gen", str(config), str(out), "--format", "json"]) == EXIT_USAGE
+    for flag in (["--output", str(tmp_path / "report")], ["--strict"], ["--stamp"]):
+        assert main(["gen", str(config), str(out), *flag]) == EXIT_USAGE
+    capsys.readouterr()
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["score"]) == EXIT_USAGE
@@ -200,6 +211,16 @@ def test_missing_directory_is_data_error(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert main(["validate", str(missing)]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suffix", ["txt", "ann"])
+def test_undecodable_file_is_named(tmp_path, capsys, suffix):
+    (tmp_path / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    (tmp_path / "n1.ann").write_text("T1\tDrug 0 7\tcocaine\n", encoding="utf-8")
+    bad = tmp_path / f"n1.{suffix}"
+    bad.write_bytes(b"caf\xe9 use")
+    assert main(["validate", str(tmp_path)]) == EXIT_DATA
+    assert f"cannot read {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_custom_schema_via_env(tmp_path, monkeypatch, capsys):

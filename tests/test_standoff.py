@@ -549,6 +549,25 @@ def test_bom_counts_as_code_point_zero(tmp_path):
     assert load_corpus(out, strict=True)["n1"] == doc
 
 
+def test_bom_at_start_of_ann_is_dropped(tmp_path, caplog):
+    # Offsets index the note, never the .ann, so one leading U+FEFF there is
+    # not part of the first id; the lines keep their numbers.
+    text = "Patient smokes daily.\n"
+    ann = "T1\tTobacco 8 14\tsmokes\n"
+    plain = parse_document(ann, text, "n1", strict=True)
+    assert parse_document("\ufeff" + ann, text, "n1", strict=True) == plain
+    with caplog.at_level("WARNING"):
+        assert parse_document("\ufeff" + ann, text, "n1") == plain
+    assert caplog.text == ""
+    with pytest.raises(StandoffError, match="duplicate id T1") as err:
+        parse_document("\ufeff" + ann + ann, text, "n1", strict=True)
+    assert err.value.line_no == 2
+
+    (tmp_path / "n1.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "n1.ann").write_bytes(("\ufeff" + ann).encode("utf-8"))
+    assert load_corpus(tmp_path, strict=True)["n1"] == plain
+
+
 def _set_collector(enabled):
     if enabled:
         gc.enable()
