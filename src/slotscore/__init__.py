@@ -31,7 +31,6 @@ from .scoring import (
     align_events,
     score_corpus,
     score_document,
-    triggers_equivalent,
 )
 from .significance import BootstrapConfig, BootstrapResult, paired_bootstrap
 from .standoff import (

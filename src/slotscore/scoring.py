@@ -6,11 +6,16 @@ are then compared per kind: span-only arguments must match their span
 exactly; labeled arguments are span-agnostic and match on subtype alone.
 True positives, false negatives, and false positives are tallied per
 phenomenon (event type x argument type x subtype) and micro-averaged.
+
+Gold and predicted notes must index the same text, or equal offsets would
+not mean equal characters: a predicted note whose text differs from gold's
+(say, in its line endings) is an error, not a score.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,7 +27,6 @@ from .standoff import (
     EventAnnotation,
     Span,
     annotation_sort_key,
-    empty_document,
 )
 
 logger = logging.getLogger(__name__)
@@ -145,13 +149,6 @@ class ScoreCounts:
             out += cell
         return out
 
-    def restricted_to_event_type(self, event_type: str) -> "ScoreCounts":
-        out = ScoreCounts()
-        for key, cell in self.counts.items():
-            if key.event_type == event_type:
-                out.tally(key, cell.tp, cell.fn, cell.fp)
-        return out
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -193,14 +190,6 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 # Alignment
 # ---------------------------------------------------------------------------
-
-def triggers_equivalent(gold: tuple[str, Span], pred: tuple[str, Span]) -> bool:
-    """Any-overlap equivalence: event types equal and spans share at least
-    one character."""
-    gold_type, gold_span = gold
-    pred_type, pred_span = pred
-    return gold_type == pred_type and gold_span.overlaps(pred_span)
-
 
 @dataclass(frozen=True)
 class EventAlignment:
@@ -343,9 +332,16 @@ def _phenomenon(kind: str, event_type: str, argument_type: str | None,
 def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
     """Tally one note. A matched pair's shared slots are tp, its gold-only
     slots fn and its pred-only slots fp; every slot of an unmatched gold
-    (pred) event is fn (fp)."""
+    (pred) event is fn (fp). Raises ScoringError when the notes differ in
+    doc_id or in text."""
     if gold.doc_id != pred.doc_id:
         raise ScoringError(f"doc_id mismatch: gold {gold.doc_id!r} vs pred {pred.doc_id!r}")
+    if pred.text != gold.text:
+        at = len(os.path.commonprefix((gold.text, pred.text)))
+        raise ScoringError(
+            f"{gold.doc_id}: predicted note text differs from gold at code point {at}; "
+            "offsets into different texts cannot be compared"
+        )
     alignment = align_events(gold, pred)
     gold_attrs = gold.attribute_index()
     pred_attrs = pred.attribute_index()
@@ -394,7 +390,7 @@ def per_document_counts(
         gold_doc = gold[doc_id]
         pred_doc = pred.documents.get(doc_id)
         if pred_doc is None:
-            pred_doc = empty_document(doc_id, gold_doc.text, gold_doc.metadata)
+            pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
         out[doc_id] = score_document(gold_doc, pred_doc, schema)
     return out
 

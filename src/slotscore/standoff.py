@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -171,9 +171,6 @@ class Document:
         each call; a caller that looks up many attributes builds it once."""
         return {(a.target, a.name): a for a in self.attributes.values()}
 
-    def with_metadata(self, metadata: DocumentMetadata) -> "Document":
-        return replace(self, metadata=metadata)
-
 
 @dataclass
 class Corpus:
@@ -200,11 +197,6 @@ class Corpus:
 
     def __getitem__(self, doc_id: str) -> Document:
         return self.documents[doc_id]
-
-
-def empty_document(doc_id: str, text: str, metadata: DocumentMetadata | None = None) -> Document:
-    """A document with no annotations (a system that predicted nothing)."""
-    return Document(doc_id=doc_id, text=text, metadata=metadata or DocumentMetadata())
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +479,10 @@ class MetadataRule:
 
 def parse_manifest(text: str) -> list[MetadataRule]:
     """Parse a corpus manifest: one ``pattern<TAB>source<TAB>split`` rule per
-    line; ``#`` starts a comment. Commas are accepted in place of tabs."""
+    line; ``#`` starts a comment. Commas are accepted in place of tabs. One
+    leading U+FEFF (a UTF-8 byte-order mark) is dropped, as for ``.ann``."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
     rules = []
     for line_no, line in enumerate(_lines(text), start=1):
         line = line.split("#", 1)[0].strip()
@@ -539,7 +534,7 @@ def load_corpus(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        rules = parse_manifest(Path(manifest).read_text(encoding="utf-8")) if manifest else []
+        rules = parse_manifest(_read_raw(Path(manifest))) if manifest else []
 
         txt_files = sorted(root.rglob("*.txt"))
         stray_ann = [
@@ -560,7 +555,7 @@ def load_corpus(
                     _read_raw(ann_path), text, doc_id=doc_id, strict=strict, metadata=metadata
                 )
             else:
-                doc = empty_document(doc_id, text, metadata)
+                doc = Document(doc_id, text, metadata=metadata)
             corpus.add(doc)
         return corpus
     finally:

@@ -23,7 +23,6 @@ from .scoring import (
     TRIGGER,
     PhenomenonKey,
     ScoreCounts,
-    triggers_equivalent,
 )
 from .standoff import (
     AttributeAnnotation,
@@ -594,6 +593,16 @@ def perturb(
 ORACLE_EVENT_CAP = 12
 
 
+def _triggers_equivalent(gold: tuple, pred: tuple) -> bool:
+    """The paper's trigger rule, apart from the scorer's code. Each side is
+    (event type, fragments): the types are equal and some fragment of one
+    shares at least one character with some fragment of the other."""
+    (g_type, g_fragments), (p_type, p_fragments) = gold, pred
+    return g_type == p_type and any(
+        max(gs, ps) < min(ge, pe) for gs, ge in g_fragments for ps, pe in p_fragments
+    )
+
+
 def oracle_align(
     gold: Document, pred: Document
 ) -> list[tuple[EventAnnotation, EventAnnotation]]:
@@ -621,9 +630,9 @@ def oracle_align(
             [
                 j
                 for j, p in enumerate(preds)
-                if triggers_equivalent(
-                    (g.event_type, gold.trigger_of(g).span),
-                    (p.event_type, pred.trigger_of(p).span),
+                if _triggers_equivalent(
+                    (g.event_type, gold.trigger_of(g).span.fragments),
+                    (p.event_type, pred.trigger_of(p).span.fragments),
                 )
             ]
             for g in golds

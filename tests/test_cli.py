@@ -80,6 +80,25 @@ def test_stamp_adds_header(fixture_dirs, capsys):
     assert "# generated=" in capsys.readouterr().out
 
 
+def test_score_rejects_prediction_on_other_note_text(tmp_path, capsys):
+    # gold has CRLF endings, the prediction LF: each file's offsets are
+    # right for its own text, but the same offsets name other characters
+    gold_text = "pt smokes\r\ndaily cocaine\r\n"
+    ann = "T1\tDrug {0} {1}\tcocaine\nT2\tType {0} {1}\tcocaine\nE1\tDrug:T1 Type:T2\n"
+    for name, text, offsets in (
+        ("gold", gold_text, (17, 24)),
+        ("pred", gold_text.replace("\r\n", "\n"), (16, 23)),
+    ):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "n1.txt").write_text(text, encoding="utf-8", newline="")
+        (tmp_path / name / "n1.ann").write_text(ann.format(*offsets), encoding="utf-8")
+    code = main(["score", str(tmp_path / "gold"), str(tmp_path / "pred"), "--strict"])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "n1: predicted note text differs from gold at code point 9" in captured.err
+    assert "overall" not in captured.out
+
+
 def test_compare_identical_systems(fixture_dirs, capsys):
     gold_dir, pred_dir = fixture_dirs
     code = main(["compare", str(gold_dir), str(pred_dir), str(pred_dir), "--reps", "200"])
@@ -161,6 +180,26 @@ def test_stats_three_partition_fixture(tmp_path, shac, capsys):
     assert "notes\tuw\ttest\t\t\t\t3\t" in out
     assert any(line.startswith("events\tDrug") or "events\t\t\tDrug" in line for line in lines)
     assert "notes=9" in out
+
+
+def test_stats_manifest_bom_is_dropped(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"\xef\xbb\xbfn1\tuw\ttrain\n")
+    assert main(["stats", str(corpus), "--manifest", str(manifest)]) == EXIT_OK
+    assert "notes\tuw\ttrain\t\t\t\t1\t" in capsys.readouterr().out
+
+
+def test_stats_undecodable_manifest_is_named(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"n1\tuw\ttr\xe9in\n")
+    assert main(["stats", str(corpus), "--manifest", str(manifest)]) == EXIT_DATA
+    assert f"cannot read {manifest}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_gen_emits_fixture_directory(tmp_path, capsys):

@@ -19,11 +19,11 @@ from slotscore.scoring import (
     prf,
     score_corpus,
     score_document,
-    triggers_equivalent,
 )
-from slotscore.standoff import Corpus, Document, Span, annotation_sort_key, parse_document
+from slotscore.standoff import Corpus, Document, annotation_sort_key, parse_document
 from slotscore.testkit import (
     GeneratorConfig,
+    _triggers_equivalent,
     generate_gold,
     identity_counts,
     oracle_align,
@@ -41,37 +41,7 @@ def _triple(counts, key):
 
 
 # ---------------------------------------------------------------------------
-# Trigger equivalence
-# ---------------------------------------------------------------------------
-
-def test_trigger_overlap_equivalence():
-    # "cocaine" vs "cocaine use": overlapping spans, same type
-    assert triggers_equivalent(("Drug", Span.single(10, 17)), ("Drug", Span.single(10, 21)))
-
-
-def test_trigger_type_mismatch():
-    assert not triggers_equivalent(("Drug", Span.single(10, 17)), ("Alcohol", Span.single(10, 17)))
-
-
-def test_trigger_adjacent_spans_do_not_overlap():
-    assert not triggers_equivalent(("Drug", Span.single(10, 17)), ("Drug", Span.single(17, 21)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    a_start=st.integers(0, 40),
-    a_len=st.integers(1, 10),
-    b_start=st.integers(0, 40),
-    b_len=st.integers(1, 10),
-)
-def test_trigger_equivalence_is_symmetric(a_start, a_len, b_start, b_len):
-    a = ("Drug", Span.single(a_start, a_start + a_len))
-    b = ("Drug", Span.single(b_start, b_start + b_len))
-    assert triggers_equivalent(a, b) == triggers_equivalent(b, a)
-
-
-# ---------------------------------------------------------------------------
-# Alignment
+# Trigger equivalence, through the aligner and the oracle
 # ---------------------------------------------------------------------------
 
 def _trigger_only_doc(spans, doc_id="n1", event_type="Drug", text_len=40):
@@ -82,6 +52,47 @@ def _trigger_only_doc(spans, doc_id="n1", event_type="Drug", text_len=40):
         lines.append(f"E{i}\t{event_type}:T{i}")
     return _doc("\n".join(lines) + "\n", text, doc_id)
 
+
+def _matched_count(gold, pred):
+    """How many events align; the scorer's aligner and the oracle, which
+    has its own trigger rule, must agree."""
+    n = len(align_events(gold, pred).matched)
+    assert n == len(oracle_align(gold, pred))
+    return n
+
+
+def test_trigger_overlap_equivalence():
+    # "cocaine" vs "cocaine use": overlapping spans, same type
+    assert _matched_count(_trigger_only_doc([(10, 17)]), _trigger_only_doc([(10, 21)])) == 1
+
+
+def test_trigger_type_mismatch():
+    gold = _trigger_only_doc([(10, 17)], event_type="Drug")
+    pred = _trigger_only_doc([(10, 17)], event_type="Alcohol")
+    assert _matched_count(gold, pred) == 0
+
+
+def test_trigger_adjacent_spans_do_not_overlap():
+    assert _matched_count(_trigger_only_doc([(10, 17)]), _trigger_only_doc([(17, 21)])) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_start=st.integers(0, 40),
+    a_len=st.integers(1, 10),
+    b_start=st.integers(0, 40),
+    b_len=st.integers(1, 10),
+)
+def test_trigger_equivalence_is_symmetric(a_start, a_len, b_start, b_len):
+    a = _trigger_only_doc([(a_start, a_start + a_len)], text_len=50)
+    b = _trigger_only_doc([(b_start, b_start + b_len)], text_len=50)
+    overlap = a_start < b_start + b_len and b_start < a_start + a_len
+    assert _matched_count(a, b) == _matched_count(b, a) == overlap
+
+
+# ---------------------------------------------------------------------------
+# Alignment
+# ---------------------------------------------------------------------------
 
 def test_align_identical_documents():
     doc = _trigger_only_doc([(0, 5), (20, 25)])
@@ -122,7 +133,8 @@ def test_align_respects_event_type_boundaries():
 
 def _greedy_scan(gold, pred):
     """The greedy rule with no buckets and no early stop: each gold event in
-    document order takes the first still-unmatched equivalent pred event."""
+    document order takes the first still-unmatched pred event that the
+    oracle's trigger rule, not the scorer's, calls equivalent."""
 
     def order(doc):
         def key(event):
@@ -140,8 +152,9 @@ def _greedy_scan(gold, pred):
         for p in order(pred):
             if p.id in taken or pred.trigger_of(p) is None:
                 continue
-            if triggers_equivalent(
-                (g.event_type, gold.trigger_of(g).span), (p.event_type, pred.trigger_of(p).span)
+            if _triggers_equivalent(
+                (g.event_type, gold.trigger_of(g).span.fragments),
+                (p.event_type, pred.trigger_of(p).span.fragments),
             ):
                 matched.append((g.id, p.id))
                 taken.add(p.id)
@@ -275,6 +288,24 @@ def test_missing_subtype_scores_as_sentinel(shac):
 def test_doc_id_mismatch_raises(shac):
     with pytest.raises(ScoringError):
         score_document(_doc(GOLD_ANN, GOLD_TEXT, "a"), _doc(GOLD_ANN, GOLD_TEXT, "b"), shac)
+
+
+CRLF_TEXT = "pt smokes\r\ndaily cocaine\r\n"
+COCAINE_ANN = "T1\tDrug {0} {1}\tcocaine\nT2\tType {0} {1}\tcocaine\nE1\tDrug:T1 Type:T2\n"
+
+
+def test_note_text_mismatch_raises(shac):
+    # the same note with LF endings: "cocaine" sits one code point earlier,
+    # so equal offsets would name different characters
+    gold = _doc(COCAINE_ANN.format(17, 24), CRLF_TEXT)
+    pred = _doc(COCAINE_ANN.format(16, 23), CRLF_TEXT.replace("\r\n", "\n"))
+    with pytest.raises(ScoringError, match="^n1: predicted note text differs from gold at code point 9;"):
+        score_document(gold, pred, shac)
+    with pytest.raises(ScoringError, match="at code point 9;"):
+        score_corpus(Corpus({"n1": gold}), Corpus({"n1": pred}), shac)
+    # a prediction that stops short of gold's text differs where it ends
+    with pytest.raises(ScoringError, match="at code point 11;"):
+        score_document(gold, Document("n1", CRLF_TEXT[:11]), shac)
 
 
 def test_identity_has_no_errors(shac):

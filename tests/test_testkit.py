@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from slotscore import testkit
 from slotscore.analytics import density_breakdown
 from slotscore.schema import validate_document
 from slotscore.scoring import LABELED_ARG, align_events, score_corpus
@@ -210,3 +214,28 @@ def test_greedy_agrees_with_oracle_at_least_99_percent():
         if greedy != optimal:
             mismatches += 1
     assert mismatches / 500 < 0.01
+
+
+# Output vocabulary and containers: what an oracle may take from the scorer.
+SCORER_NAMES_ORACLES_MAY_USE = {
+    "LABELED_ARG", "MISSING_SUBTYPE", "SPAN_ONLY_ARG", "TRIGGER", "PhenomenonKey", "ScoreCounts",
+}
+
+
+def test_oracles_take_no_rule_from_the_scorer():
+    """testkit's oracles import no scoring rule and call no Span.overlaps,
+    the test the aligner runs; if they did, the scorer would be checked
+    against itself."""
+    tree = ast.parse(Path(testkit.__file__).read_text(encoding="utf-8"))
+    from_scoring = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("scoring", "slotscore.scoring")
+        for alias in node.names
+    }
+    assert from_scoring <= SCORER_NAMES_ORACLES_MAY_USE
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "overlaps"
+    ]
