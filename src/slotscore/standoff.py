@@ -14,6 +14,15 @@ it, as BRAT's offsets into the decoded file do; ``write_corpus`` writes it
 back. One at the start of an ``.ann`` file is dropped, because no offset
 points into the ``.ann``; line numbers do not change. Parsed documents are
 immutable by convention and safe to share across threads.
+
+Loading builds each repeated string once per process (``sys.intern``):
+annotation ids, labels, event types, roles, attribute names and values,
+and, in ``load_corpus``, note texts (except on CPython 3.12). Equal
+strings of those kinds may therefore be one shared object, within a
+document, across documents and across corpora, and an event's trigger and
+argument targets and an attribute's target are the very id objects of the
+annotations they name. Covered text and offsets are not shared. Callers
+compare by equality and must not rely on identity either way.
 """
 
 from __future__ import annotations
@@ -21,9 +30,11 @@ from __future__ import annotations
 import gc
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from sys import intern
 
 logger = logging.getLogger(__name__)
 
@@ -32,11 +43,17 @@ SPLITS = ("train", "dev", "test", "unknown")
 
 _ID_RE = re.compile(r"^([A-Za-z#*]+)(\d*)$")
 
+# An interned string is freed once nothing refers to it, except on CPython
+# 3.12, which keeps every one for the life of the process. Ids and
+# vocabulary are few, but note texts are not, so 3.12 does not share them.
+_SHARE_NOTE_TEXTS = sys.version_info[:2] != (3, 12)
+
 
 class StandoffError(Exception):
     """A standoff file could not be parsed or is internally inconsistent."""
 
     def __init__(self, message: str, doc_id: str = "", line_no: int | None = None):
+        self.message = message
         self.doc_id = doc_id
         self.line_no = line_no
         where = doc_id or "<input>"
@@ -235,28 +252,29 @@ def _read_raw(path: Path) -> str:
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
-    pieces = offsets.split()
-    if len(pieces) == 2:
-        a, b = pieces
-        # One fragment of plain ASCII digits with end > start is already a
-        # valid span; build it without validating it a second time. Signs,
-        # underscores, non-ASCII digits and ";" take the general path below.
-        if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
-            start, end = int(a), int(b)
-            if end > start:
-                span = object.__new__(Span)
-                object.__setattr__(span, "fragments", ((start, end),))
-                return span
-    fragments = []
-    for part in offsets.split(";"):
-        pieces = part.split()
-        if len(pieces) != 2:
-            raise StandoffError(f"malformed span offsets {offsets!r}", doc_id, line_no)
-        try:
-            start, end = int(pieces[0]), int(pieces[1])
-        except ValueError:
-            raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
-        fragments.append((start, end))
+    # int() raises ValueError on a token that is not an integer, and also on
+    # one of more digits than the interpreter converts (4,300 by default).
+    try:
+        pieces = offsets.split()
+        if len(pieces) == 2:
+            a, b = pieces
+            # One fragment of plain ASCII digits with end > start is already a
+            # valid span; build it without validating it a second time. Signs,
+            # underscores, non-ASCII digits and ";" take the general path below.
+            if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
+                start, end = int(a), int(b)
+                if end > start:
+                    span = object.__new__(Span)
+                    object.__setattr__(span, "fragments", ((start, end),))
+                    return span
+        fragments = []
+        for part in offsets.split(";"):
+            pieces = part.split()
+            if len(pieces) != 2:
+                raise StandoffError(f"malformed span offsets {offsets!r}", doc_id, line_no)
+            fragments.append((int(pieces[0]), int(pieces[1])))
+    except ValueError:
+        raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
     fragments.sort()
     try:
         return Span(tuple(fragments))
@@ -297,7 +315,7 @@ def parse_document(
         if not line.strip():
             continue
         parts = line.split("\t")
-        ann_id = parts[0]
+        ann_id = intern(parts[0])  # T1, E1, ... recur in every note
         kind = ann_id[:1]
 
         if kind == "T":
@@ -326,7 +344,9 @@ def parse_document(
                 fail_or_warn(message, line_no)
             if ann_id in text_bounds:
                 raise StandoffError(f"duplicate id {ann_id}", doc_id, line_no)
-            text_bounds[ann_id] = TextBound(id=ann_id, label=label, span=span, covered_text=covered)
+            text_bounds[ann_id] = TextBound(
+                id=ann_id, label=intern(label), span=span, covered_text=covered
+            )
 
         elif kind == "E":
             if len(parts) < 2 or not parts[1].strip():
@@ -335,7 +355,7 @@ def parse_document(
             head = pairs[0].split(":", 1)
             if len(head) != 2 or not head[0]:
                 raise StandoffError(f"malformed event trigger {pairs[0]!r}", doc_id, line_no)
-            event_type, trigger_ref = head
+            event_type, trigger_ref = intern(head[0]), head[1]
             trigger: str | None = trigger_ref
             if not trigger_ref:
                 fail_or_warn(f"event {ann_id} has no trigger reference", line_no)
@@ -351,7 +371,7 @@ def parse_document(
                 # ends in no digit has no suffix to strip.
                 if role[-1].isdecimal():
                     role = _ROLE_SUFFIX_RE.sub("", role)
-                args.append((role, bits[1]))
+                args.append((intern(role), bits[1]))
             raw_events.append((line_no, ann_id, event_type, trigger, args))
 
         elif kind == "A":
@@ -360,8 +380,8 @@ def parse_document(
             tokens = parts[1].split()
             if len(tokens) < 2:
                 raise StandoffError(f"malformed attribute {parts[1]!r}", doc_id, line_no)
-            name, target = tokens[0], tokens[1]
-            value = " ".join(tokens[2:]) if len(tokens) > 2 else None
+            name, target = intern(tokens[0]), tokens[1]
+            value = intern(" ".join(tokens[2:])) if len(tokens) > 2 else None
             raw_attrs.append((line_no, ann_id, name, target, value))
 
         elif kind in ("R", "N", "#", "M", "*"):
@@ -370,7 +390,8 @@ def parse_document(
         else:
             raise StandoffError(f"unrecognized annotation line {line!r}", doc_id, line_no)
 
-    # Second pass: resolve references now that all text-bounds are known.
+    # Second pass: resolve references now that all text-bounds are known. A
+    # resolved reference is the id object of the annotation it names.
     event_ids = {ann_id for _, ann_id, _, _, _ in raw_events}
     events: dict[str, EventAnnotation] = {}
     for line_no, ann_id, event_type, trigger, args in raw_events:
@@ -384,8 +405,12 @@ def parse_document(
                 fail_or_warn(
                     f"event {ann_id} type {event_type} != trigger label {tb.label}", line_no
                 )
+            trigger = tb.id
+        arguments = []
         for role, target in args:
-            if target in text_bounds:
+            tb = text_bounds.get(target)
+            if tb is not None:
+                arguments.append((role, tb.id))
                 continue
             if target in event_ids:
                 raise StandoffError(
@@ -398,7 +423,7 @@ def parse_document(
                 f"event {ann_id} argument {role} references unknown {target}", doc_id, line_no
             )
         events[ann_id] = EventAnnotation(
-            id=ann_id, event_type=event_type, trigger=trigger, arguments=tuple(args)
+            id=ann_id, event_type=event_type, trigger=trigger, arguments=tuple(arguments)
         )
 
     attributes: dict[str, AttributeAnnotation] = {}
@@ -406,10 +431,12 @@ def parse_document(
     for line_no, ann_id, name, target, value in raw_attrs:
         if ann_id in attributes:
             raise StandoffError(f"duplicate id {ann_id}", doc_id, line_no)
-        if target not in text_bounds and target not in events:
+        owner = text_bounds.get(target) or events.get(target)
+        if owner is None:
             raise StandoffError(
                 f"attribute {ann_id} references unknown {target}", doc_id, line_no
             )
+        target = owner.id
         if (name, target) in seen_name_target:
             fail_or_warn(
                 f"attribute {ann_id} duplicates {name} on {target} "
@@ -524,6 +551,12 @@ def load_corpus(
     error. Metadata comes from manifest rules when given, else from
     directory-name conventions (path components named mimic/uw or
     train/dev/test).
+
+    Note texts are interned like the parsed ids and vocabulary (see the
+    module docstring), except on CPython 3.12, which never frees an
+    interned string: equal texts, such as a note in a gold corpus and in a
+    prediction loaded in the same process, may be one shared object.
+    Callers rely on equality, not identity.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -534,7 +567,13 @@ def load_corpus(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        rules = parse_manifest(_read_raw(Path(manifest))) if manifest else []
+        rules = []
+        if manifest:
+            manifest_text = _read_raw(Path(manifest))
+            try:
+                rules = parse_manifest(manifest_text)
+            except StandoffError as exc:
+                raise StandoffError(exc.message, str(manifest)) from None
 
         txt_files = sorted(root.rglob("*.txt"))
         stray_ann = [
@@ -548,6 +587,8 @@ def load_corpus(
             doc_id = txt_path.stem
             rel = txt_path.relative_to(root).with_suffix("").as_posix()
             text = _read_raw(txt_path)
+            if _SHARE_NOTE_TEXTS:  # a prediction shares gold's text
+                text = intern(text)
             metadata = _metadata_for(rel, doc_id, rules)
             ann_path = txt_path.with_suffix(".ann")
             if ann_path.exists():

@@ -202,6 +202,23 @@ def test_stats_undecodable_manifest_is_named(tmp_path, capsys):
     assert f"cannot read {manifest}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (b"n1\tuw\r", "manifest line 1: expected pattern, source, split"),
+        (b"# rules\nn1\tuw\ttrian\n", "manifest line 2: source must be one of"),
+    ],
+)
+def test_stats_manifest_syntax_error_is_named(tmp_path, capsys, rows, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(rows)
+    assert main(["stats", str(corpus), "--manifest", str(manifest)]) == EXIT_DATA
+    assert f"error: {manifest}: {message}" in capsys.readouterr().err
+
+
 def test_gen_emits_fixture_directory(tmp_path, capsys):
     config = tmp_path / "gen.yaml"
     config.write_text(

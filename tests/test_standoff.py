@@ -1,6 +1,7 @@
 import gc
 import logging
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,19 +298,27 @@ class _Warnings(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def _parse_t_line(offsets, stated, text, strict):
+def _parse_logged(ann, text, strict):
+    """``("error", message, line_no)`` or ``("ok", document, warnings)``."""
     logger = logging.getLogger(standoff.__name__)
     handler, level = _Warnings(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.WARNING)
     try:
-        doc = parse_document(f"T1\tDrug {offsets}\t{stated}\n", text, "n1", strict=strict)
+        doc = parse_document(ann, text, "n1", strict=strict)
     except StandoffError as exc:
         return ("error", str(exc), exc.line_no)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    return ("ok", doc.text_bounds["T1"], handler.messages)
+    return ("ok", doc, handler.messages)
+
+
+def _parse_t_line(offsets, stated, text, strict):
+    outcome = _parse_logged(f"T1\tDrug {offsets}\t{stated}\n", text, strict)
+    if outcome[0] == "ok":
+        return ("ok", outcome[1].text_bounds["T1"], outcome[2])
+    return outcome
 
 
 _NOTE = "patient w cocaine use\r\tdaily"
@@ -351,6 +360,9 @@ _NOTE = "patient w cocaine use\r\tdaily"
         ("0 5", "ab cd", "ab\tcd"),
         ("0 5", "ab\tcd", "ab\tcd"),
         ("0 5", "ab cd", "ab\ncd"),
+        # more digits than int() converts
+        pytest.param("0 " + "9" * 5000, "x", _NOTE, id="huge-end"),
+        pytest.param("9" * 5000 + " 1", "x", _NOTE, id="huge-start"),
     ],
 )
 def test_t_line_follows_the_rules(offsets, stated, text, strict):
@@ -407,6 +419,196 @@ def test_t_line_matches_public_span_on_drawn_offsets(data):
     )
 
 
+# ---------------------------------------------------------------------------
+# One E or A line against the documented rules
+# ---------------------------------------------------------------------------
+
+# The drawn line is line 5, after these. T1 and T2 are the only text-bounds,
+# E9 the only other event, and A9 already sets Negated on T1.
+_EA_NOTE = "cocaine now"
+_EA_CONTEXT = "T1\tDrug 0 7\tcocaine\nT2\tStatusTime 8 11\tnow\nE9\tDrug:T1\nA9\tNegated T1\n"
+_EA_LABELS = {"T1": "Drug", "T2": "StatusTime"}
+
+
+class _Rejected(Exception):
+    pass
+
+
+def _event_by_the_rules(body, warn):
+    """``E1<TAB>TYPE:TRIGGER ROLE:TARGET ...``: tokens are separated by any
+    whitespace. The first token splits at its first colon, and a type is
+    required; an empty trigger is a repairable fault (the event has no
+    trigger). Every later token splits at its first colon. One without a
+    colon, role or target is a repairable fault and is dropped. Trailing
+    decimal digits of any script leave the role. Once every line is read,
+    the trigger must name a text-bound, preferably of the event's type, and
+    every target must name a text-bound."""
+    tokens = body.split()
+    if not tokens:
+        raise _Rejected("event line needs a trigger field")
+    event_type, colon, trigger = tokens[0].partition(":")
+    if not colon or not event_type:
+        raise _Rejected(f"malformed event trigger {tokens[0]!r}")
+    if not trigger:
+        warn("event E1 has no trigger reference")
+    arguments = []
+    for token in tokens[1:]:
+        role, colon, target = token.partition(":")
+        if not (colon and role and target):
+            warn(f"malformed event argument {token!r} on E1")
+            continue
+        while role and role[-1].isdecimal():
+            role = role[:-1]
+        arguments.append((role, target))
+    if trigger:
+        if trigger not in _EA_LABELS:
+            raise _Rejected(f"event E1 trigger {trigger} not found")
+        if _EA_LABELS[trigger] != event_type:
+            warn(f"event E1 type {event_type} != trigger label {_EA_LABELS[trigger]}")
+    for role, target in arguments:
+        if target in ("E1", "E9"):
+            raise _Rejected(
+                f"event E1 argument {role} targets an event; only text-bound arguments "
+                "are supported"
+            )
+        if target not in _EA_LABELS:
+            raise _Rejected(f"event E1 argument {role} references unknown {target}")
+    return EventAnnotation("E1", event_type, trigger or None, tuple(arguments))
+
+
+def _attribute_by_the_rules(body, warn):
+    """``A1<TAB>NAME TARGET [VALUE ...]``: tokens are separated by any
+    whitespace, and the value is the remaining tokens joined by one space
+    (none when there are none). The target must name a text-bound or an
+    event. A second attribute of the same name on the same target is a
+    repairable fault and is dropped."""
+    tokens = body.split()
+    if len(tokens) < 2:
+        raise _Rejected(f"malformed attribute {body!r}")
+    name, target, *words = tokens
+    if target not in _EA_LABELS and target != "E9":
+        raise _Rejected(f"attribute A1 references unknown {target}")
+    if (name, target) == ("Negated", "T1"):
+        warn("attribute A1 duplicates Negated on T1 (first set by A9)")
+        return None
+    return AttributeAnnotation("A1", name, target, " ".join(words) if words else None)
+
+
+def _line_by_the_rules(line, strict):
+    """What ``line`` (E1 or A1) must give as line 5 after ``_EA_CONTEXT``:
+    ``("error", message, line_no)`` or ``("ok", record or None, warnings)``.
+    An .ann line loses one trailing CR; its fields are tab-separated, the
+    second is the body and any later field is ignored."""
+    if line.endswith("\r"):
+        line = line[:-1]
+    fields = line.split("\t")
+    warnings = []
+
+    def warn(message):
+        if strict:
+            raise _Rejected(message)
+        warnings.append(f"n1:5: {message}")
+
+    try:
+        if line.startswith("E"):
+            record = _event_by_the_rules(fields[1] if len(fields) > 1 else "", warn)
+        elif len(fields) < 2:
+            raise _Rejected("attribute line needs a body")
+        else:
+            record = _attribute_by_the_rules(fields[1], warn)
+    except _Rejected as exc:
+        return ("error", f"n1:5: {exc}", 5)
+    return ("ok", record, warnings)
+
+
+def _parse_line(line, strict):
+    outcome = _parse_logged(_EA_CONTEXT + line + "\n", _EA_NOTE, strict)
+    if outcome[0] == "ok":
+        doc = outcome[1]
+        record = doc.events.get("E1") if line.startswith("E") else doc.attributes.get("A1")
+        return ("ok", record, outcome[2])
+    return outcome
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "E1\tDrug:T1 Status:T2",
+        "E1\tDrug:T1 Status2:T2 Status:T2",  # repeated role
+        "E1\tDrug:T1 Status٣:T2",  # Arabic-Indic digit suffix
+        "E1\tDrug:T1 12:T2",  # all-digit role
+        "E1\tDrug:T1\xa0Status:T2",
+        "E1\t\u2003Drug:T1  Status:T2 \r",
+        "E1\tDrug:T1\tStatus:T2",  # a third field is ignored
+        "E1\tDrug:",  # missing trigger
+        "E1\tDrug: Status:T2",
+        "E1\tDrug:T1 Status:",  # empty target
+        "E1\tDrug:T1 :T2",  # empty role
+        "E1\tDrug:T1 Status",
+        "E1\tDrug:T1 Status:T2:x",  # extra colon in a target
+        "E1\tDrug:T1:x",
+        "E1\t:T1",
+        "E1\tDrug",
+        "E1\t",
+        "E1\t \xa0",
+        "E1",
+        "E1\tAlcohol:T1",  # type differs from the trigger's label
+        "E1\tDrug:T9",
+        "E1\tDrug:E9",
+        "E1\tDrug:T1 Status:T9",
+        "E1\tDrug:T1 Status:E9",
+        "E1\tDrug:T1 Status:E1",
+        "A1\tStatusTime T2 current",
+        "A1\tStatusTime T2",
+        "A1\tStatusTime T2 past now",
+        "A1\tStatusTime T2 past\xa0now",
+        "A1\tStatusTime\u2003T2  past \u3000 now \r",
+        "A1\tStatusTime T2 past\tnow",
+        "A1\tNegated E9",
+        "A1\tNegated T1",  # Negated is already set on T1
+        "A1\tNegated T2:x",
+        "A1\tStatusTime T9 current",
+        "A1\tStatusTime",
+        "A1\t",
+        "A1",
+    ],
+)
+def test_event_and_attribute_lines_follow_the_rules(line, strict):
+    assert _parse_line(line, strict) == _line_by_the_rules(line, strict)
+
+
+# ASCII, NBSP and other Unicode whitespace; a tab ends the body instead.
+_SEPARATORS = (" ", " ", "  ", "\xa0", "\u2003", "\u3000", "\x0c", "\x1f", "\t")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_drawn_event_and_attribute_lines_match_the_rules(data):
+    def pick(*options):
+        return data.draw(st.sampled_from(options))
+
+    targets = ("T1", "T2", "T2", "T9", "E9", "", "T2:x")
+    if pick("E", "A") == "E":
+        kind = "E1"
+        tokens = [pick("Drug", "Alcohol", "") + pick(":", ":", "") + pick(*targets)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            role = pick("Status", "Type", "") + pick("", "", "2", "12", "٣", "١٢")
+            tokens.append(role + pick(":", ":", "") + pick(*targets))
+    else:
+        kind = "A1"
+        values = ("current", "past", "now", "a:b")
+        tokens = [pick("StatusTime", "Negated", "Type٣"), pick("T1", *targets)]
+        tokens += [pick(*values), pick(*values), pick(*values)]
+        del tokens[data.draw(st.integers(0, 5)):]
+    body = pick("", "", " ", "\xa0") + tokens[0] if tokens else ""
+    for token in tokens[1:]:
+        body += pick(*_SEPARATORS) + token
+    line = f"{kind}\t{body}" + pick("", "", " ", "\r", "\xa0\r")
+    strict = data.draw(st.booleans())
+    assert _parse_line(line, strict) == _line_by_the_rules(line, strict)
+
+
 def test_annotation_records_are_slotted():
     span = Span(((0, 4), (6, 9)))
     records = [
@@ -459,6 +661,46 @@ def test_load_corpus_missing_ann_means_no_predictions(tmp_path):
     corpus = load_corpus(tmp_path)
     assert corpus["x"].events == {}
     assert corpus["x"].text == "cocaine use"
+
+
+def test_loading_shares_repeated_strings(tmp_path, shac):
+    generated = generate_gold(
+        GeneratorConfig(seed=3, notes=4, partitions=(("other", "unknown"),)), shac
+    )
+    write_corpus(generated, tmp_path)
+    gold, pred = load_corpus(tmp_path), load_corpus(tmp_path)
+    shares_texts = sys.version_info[:2] != (3, 12)  # 3.12 never frees an interned string
+    first_seen = {}
+
+    def assert_shared(value):
+        assert first_seen.setdefault(value, value) is value, value
+
+    for corpus in (gold, pred):
+        for doc in corpus:
+            made = generated[doc.doc_id]
+            assert doc == made
+            assert (doc.text is gold[doc.doc_id].text) is (shares_texts or corpus is gold)
+            for tb in doc.text_bounds.values():
+                assert_shared(tb.id)
+                assert_shared(tb.label)
+                assert hash(tb) == hash(made.text_bounds[tb.id])
+            for ev in doc.events.values():
+                assert_shared(ev.id)
+                assert_shared(ev.event_type)
+                assert ev.trigger is doc.text_bounds[ev.trigger].id
+                for role, target in ev.arguments:
+                    assert_shared(role)
+                    assert target is doc.text_bounds[target].id
+                assert hash(ev) == hash(made.events[ev.id])
+            for attr in doc.attributes.values():
+                assert_shared(attr.id)
+                assert_shared(attr.name)
+                assert_shared(attr.value)
+                owner = doc.text_bounds.get(attr.target) or doc.events[attr.target]
+                assert attr.target is owner.id
+                assert hash(attr) == hash(made.attributes[attr.id])
+    # Every note repeats the ids of the others, so sharing across notes is checked.
+    assert len(gold) == 4 and all("E1" in doc.events for doc in gold)
 
 
 def test_load_corpus_missing_txt_is_error(tmp_path):
