@@ -21,8 +21,9 @@ and, in ``load_corpus``, note texts (except on CPython 3.12). Equal
 strings of those kinds may therefore be one shared object, within a
 document, across documents and across corpora, and an event's trigger and
 argument targets and an attribute's target are the very id objects of the
-annotations they name. Covered text and offsets are not shared. Callers
-compare by equality and must not rely on identity either way.
+annotations they name. Callers compare by equality and must not rely on
+identity either way. A text-bound stores no copy of the text it covers,
+which is ``tb.span.extract(doc.text)``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 from pathlib import Path
 from sys import intern
 
@@ -79,7 +81,8 @@ class Span:
     fragments: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        frags = tuple((int(s), int(e)) for s, e in self.fragments)
+        # index(), unlike int(), refuses a float or string offset (TypeError).
+        frags = tuple((index(s), index(e)) for s, e in self.fragments)
         if not frags:
             raise ValueError("a span needs at least one fragment")
         prev_end = -1
@@ -122,12 +125,11 @@ class Span:
 
 @dataclass(frozen=True, slots=True)
 class TextBound:
-    """An annotated span with a type label and the text it covers."""
+    """An annotated span with a type label; it covers ``span.extract(doc.text)``."""
 
     id: str
     label: str
     span: Span
-    covered_text: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,9 +294,10 @@ def parse_document(
     """Parse one ``.ann`` file against its note text.
 
     Resolution is two-pass, so event and attribute lines may precede the
-    text-bounds they reference. In lenient mode (the default), covered-text
-    mismatches are repaired from the note text with a warning, unsupported
-    line kinds are skipped, and trigger-less events are admitted for the
+    text-bounds they reference. A text-bound keeps no stated text; its
+    covered text is ``span.extract(doc_text)``. In lenient mode (the
+    default), a stated text unlike the note is a warning, unsupported line
+    kinds are skipped, and trigger-less events are admitted for the
     validator to report; strict mode turns all of those into errors.
 
     Raises StandoffError for malformed syntax, out-of-bounds offsets,
@@ -317,6 +320,8 @@ def parse_document(
         parts = line.split("\t")
         ann_id = intern(parts[0])  # T1, E1, ... recur in every note
         kind = ann_id[:1]
+        if kind in ("E", "A") and len(parts) > 2:  # read leniently as a space
+            fail_or_warn(f"tab inside the body of {ann_id}", line_no)
 
         if kind == "T":
             if len(parts) < 2:
@@ -344,14 +349,12 @@ def parse_document(
                 fail_or_warn(message, line_no)
             if ann_id in text_bounds:
                 raise StandoffError(f"duplicate id {ann_id}", doc_id, line_no)
-            text_bounds[ann_id] = TextBound(
-                id=ann_id, label=intern(label), span=span, covered_text=covered
-            )
+            text_bounds[ann_id] = TextBound(ann_id, intern(label), span)
 
         elif kind == "E":
-            if len(parts) < 2 or not parts[1].strip():
+            pairs = line.partition("\t")[2].split()
+            if not pairs:
                 raise StandoffError("event line needs a trigger field", doc_id, line_no)
-            pairs = parts[1].split()
             head = pairs[0].split(":", 1)
             if len(head) != 2 or not head[0]:
                 raise StandoffError(f"malformed event trigger {pairs[0]!r}", doc_id, line_no)
@@ -362,24 +365,24 @@ def parse_document(
                 trigger = None
             args: list[tuple[str, str]] = []
             for pair in pairs[1:]:
-                bits = pair.split(":", 1)
-                if len(bits) != 2 or not bits[0] or not bits[1]:
+                role, colon, target = pair.partition(":")
+                # \d is what str.isdecimal accepts: a role ending in no digit
+                # has no suffix, and one of digits alone strips to empty.
+                if role[-1:].isdecimal():
+                    role = _ROLE_SUFFIX_RE.sub("", role)
+                if not (colon and role and target):
                     fail_or_warn(f"malformed event argument {pair!r} on {ann_id}", line_no)
                     continue
-                role = bits[0]
-                # \d is exactly what str.isdecimal accepts, so a role that
-                # ends in no digit has no suffix to strip.
-                if role[-1].isdecimal():
-                    role = _ROLE_SUFFIX_RE.sub("", role)
-                args.append((intern(role), bits[1]))
+                args.append((intern(role), target))
             raw_events.append((line_no, ann_id, event_type, trigger, args))
 
         elif kind == "A":
             if len(parts) < 2:
                 raise StandoffError("attribute line needs a body", doc_id, line_no)
-            tokens = parts[1].split()
+            body = line.partition("\t")[2]
+            tokens = body.split()
             if len(tokens) < 2:
-                raise StandoffError(f"malformed attribute {parts[1]!r}", doc_id, line_no)
+                raise StandoffError(f"malformed attribute {body!r}", doc_id, line_no)
             name, target = intern(tokens[0]), tokens[1]
             value = intern(" ".join(tokens[2:])) if len(tokens) > 2 else None
             raw_attrs.append((line_no, ann_id, name, target, value))
@@ -472,7 +475,8 @@ def serialize_document(doc: Document) -> str:
     lines: list[str] = []
     for tb in sorted(doc.text_bounds.values(), key=lambda t: annotation_sort_key(t.id)):
         offsets = ";".join(f"{s} {e}" for s, e in tb.span.fragments)
-        lines.append(f"{tb.id}\t{tb.label} {offsets}\t{_flatten_ws(tb.covered_text)}")
+        covered = _flatten_ws(tb.span.extract(doc.text))
+        lines.append(f"{tb.id}\t{tb.label} {offsets}\t{covered}")
     for ev in sorted(doc.events.values(), key=lambda e: annotation_sort_key(e.id)):
         body = f"{ev.event_type}:{ev.trigger or ''}"
         role_counts: dict[str, int] = {}

@@ -163,8 +163,7 @@ class _DocBuilder:
     def text_bound(self, label: str, fragments: tuple[tuple[int, int], ...]) -> TextBound:
         self._t += 1
         tb_id = f"T{self._t}"
-        text = "".join(self.parts)
-        tb = TextBound(tb_id, label, Span(fragments), Span(fragments).extract(text))
+        tb = TextBound(tb_id, label, Span(fragments))
         self.text_bounds[tb_id] = tb
         return tb
 
@@ -215,7 +214,7 @@ def _emit_event(
     trigger_tb = builder.text_bound(
         event_spec.event_type, (builder.word(_trigger_word(event_spec.event_type)),)
     )
-    pending: list[tuple[ArgumentSpec, TextBound]] = []
+    pending: list[tuple[ArgumentSpec, TextBound, str | None]] = []  # with any subtype
     for spec in event_spec.arguments:
         if not spec.required and rng.random() >= cfg.optional_argument_rate:
             continue
@@ -227,7 +226,7 @@ def _emit_event(
             if spec.kind == LABELED:
                 subtype = str(_draw(rng, _subtype_dist_for(cfg, spec)))
                 tb = builder.text_bound(spec.argument_type, (builder.word(subtype),))
-                pending.append((spec, tb))
+                pending.append((spec, tb, subtype))
             else:
                 token = f"{spec.argument_type.lower()}{serial}{'x' * copy}"
                 if rng.random() < cfg.discontinuous_rate:
@@ -237,19 +236,18 @@ def _emit_event(
                     tb = builder.text_bound(spec.argument_type, (first, second))
                 else:
                     tb = builder.text_bound(spec.argument_type, (builder.word(token),))
-                pending.append((spec, tb))
+                pending.append((spec, tb, None))
     builder.raw(".\n")
 
     event = builder.event(
         event_spec.event_type,
         trigger_tb.id,
-        [(spec.role, tb.id) for spec, tb in pending],
+        [(spec.role, tb.id) for spec, tb, _ in pending],
     )
-    for spec, tb in pending:
+    for spec, tb, subtype in pending:
         if spec.kind == LABELED:
             carrier = event.id if schema.attributes_on_events else tb.id
-            value = tb.covered_text  # the span word is the subtype itself
-            builder.attribute(spec.attribute_name, carrier, value)
+            builder.attribute(spec.attribute_name, carrier, subtype)
 
 
 def generate_gold(cfg: GeneratorConfig, schema: AnnotationSchema) -> Corpus:
@@ -470,9 +468,7 @@ def perturb(
                 else:
                     shifted = (start, end + 1) if end < len(doc.text) else (start, end)
                 new_span = Span((shifted, *tb.span.fragments[1:]))
-                text_bounds[event.trigger] = replace(
-                    tb, span=new_span, covered_text=new_span.extract(doc.text)
-                )
+                text_bounds[event.trigger] = replace(tb, span=new_span)
                 edits.append(
                     Edit(doc_id=doc_id, op=OP_SHIFT, event_id=event.id, event_type=event.event_type)
                 )
@@ -486,9 +482,7 @@ def perturb(
                     tb = text_bounds[target]
                     new_span = _widen_or_shrink(tb.span, len(doc.text))
                     if new_span is not None:
-                        text_bounds[target] = replace(
-                            tb, span=new_span, covered_text=new_span.extract(doc.text)
-                        )
+                        text_bounds[target] = replace(tb, span=new_span)
                         edits.append(
                             Edit(
                                 doc_id=doc_id,
@@ -541,8 +535,7 @@ def perturb(
             if rng.random() < cfg.event_insert and free:
                 s, e = free.pop(0)
                 tb_id = _next_id(text_bounds, "T")
-                span = Span.single(s, e)
-                text_bounds[tb_id] = TextBound(tb_id, event_type, span, span.extract(doc.text))
+                text_bounds[tb_id] = TextBound(tb_id, event_type, Span.single(s, e))
                 ev_id = _next_id(set(doc.events) | set(kept_events), "E")
                 kept_events[ev_id] = EventAnnotation(ev_id, event_type, tb_id, ())
                 edits.append(

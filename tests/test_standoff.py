@@ -1,10 +1,13 @@
 import gc
+import hashlib
 import logging
+import random
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +45,20 @@ def test_span_invariants():
     assert s.start == 0 and s.end == 9
 
 
+def test_span_offsets_must_be_integers():
+    # A float or string offset is refused, not truncated or parsed into
+    # another span; bool and numpy integers are integers.
+    for fragment in ((0.5, 3.7), (0.0, 3.0), (1, 4.0), ("1", "4")):
+        with pytest.raises(TypeError):
+            Span((fragment,))
+    for span, fragments in (
+        (Span(((np.int64(1), np.int32(4)),)), ((1, 4),)),
+        (Span(((False, True),)), ((0, 1),)),
+    ):
+        assert span.fragments == fragments
+        assert {type(offset) for offset in span.fragments[0]} == {int}
+
+
 def test_span_overlap_and_extract():
     a = Span.single(10, 17)
     b = Span.single(10, 21)
@@ -59,7 +76,7 @@ def test_parse_single_text_bound():
     tb = doc.text_bounds["T1"]
     assert tb.label == "Drug"
     assert tb.span == Span.single(10, 17)
-    assert tb.covered_text == "cocaine"
+    assert tb.span.extract(text) == "cocaine"
 
 
 def test_parse_discontinuous_fragments():
@@ -68,7 +85,7 @@ def test_parse_discontinuous_fragments():
     doc = parse_document("T2\tType 4 10;15 21\theroin inject\n", text, "n1")
     tb = doc.text_bounds["T2"]
     assert tb.span.fragments == ((4, 10), (15, 21))
-    assert tb.covered_text == "heroin inject"
+    assert tb.span.extract(text) == "heroin inject"
 
 
 def test_parse_event_and_role_suffix():
@@ -140,7 +157,7 @@ def test_covered_text_mismatch_lenient_repairs_strict_rejects(caplog):
     ann = "T1\tDrug 0 7\tcoke\n"
     with caplog.at_level("WARNING"):
         doc = parse_document(ann, text, "n1")
-    assert doc.text_bounds["T1"].covered_text == "cocaine"
+    assert doc.text_bounds["T1"].span.extract(doc.text) == "cocaine"
     assert "mismatch" in caplog.text
     with pytest.raises(StandoffError):
         parse_document(ann, text, "n1", strict=True)
@@ -197,7 +214,7 @@ def test_serialize_numbers_repeated_roles():
 def test_serialize_flattens_newlines_in_covered_text():
     text = "coca\nine here"
     doc = parse_document("T1\tDrug 0 8\tcoca ine\n", text, "n1", strict=True)
-    assert doc.text_bounds["T1"].covered_text == "coca\nine"
+    assert doc.text_bounds["T1"].span.extract(doc.text) == "coca\nine"
     rt = parse_document(serialize_document(doc), text, "n1", strict=True)
     assert rt == doc
 
@@ -221,7 +238,7 @@ _LINE_BREAKERS = "\r\n\t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def test_line_separator_in_covered_text_round_trips(sep):
     text = f"coca{sep}ine here"
     doc = parse_document(f"T1\tDrug 0 8\tcoca{sep}ine\n", text, "n1", strict=True)
-    assert doc.text_bounds["T1"].covered_text == f"coca{sep}ine"
+    assert doc.text_bounds["T1"].span.extract(doc.text) == f"coca{sep}ine"
     assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
 
 
@@ -235,7 +252,7 @@ def test_round_trip_arbitrary_unicode_text(data):
     for i in range(1, data.draw(st.integers(1, 3)) + 1):
         bounds = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=5)))
         span = Span(tuple(zip(bounds[0::2], bounds[1::2])))
-        text_bounds[f"T{i}"] = TextBound(f"T{i}", "Drug", span, span.extract(text))
+        text_bounds[f"T{i}"] = TextBound(f"T{i}", "Drug", span)
     doc = Document("n1", text, text_bounds=text_bounds)
     assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
 
@@ -286,7 +303,7 @@ def _t_line_by_the_rules(offsets, stated, text, strict):
         if strict:
             return error(message)
         warnings.append(f"n1:1: {message}")
-    return ("ok", TextBound("T1", "Drug", span, covered), warnings)
+    return ("ok", TextBound("T1", "Drug", span), warnings)
 
 
 class _Warnings(logging.Handler):
@@ -409,7 +426,7 @@ def test_t_line_matches_public_span_on_drawn_offsets(data):
     offsets = ";".join(fragments)
     strict = data.draw(st.booleans())
     expected = _t_line_by_the_rules(offsets, "", text, strict=False)
-    covered = expected[1].covered_text if expected[0] == "ok" else ""
+    covered = expected[1].span.extract(text) if expected[0] == "ok" else ""
     stated = data.draw(
         st.sampled_from([covered, covered.replace("\r", " ").replace("\t", " "), covered + "\r"])
         | st.text(st.sampled_from("ab \t\ré"), max_size=6)
@@ -438,11 +455,11 @@ def _event_by_the_rules(body, warn):
     """``E1<TAB>TYPE:TRIGGER ROLE:TARGET ...``: tokens are separated by any
     whitespace. The first token splits at its first colon, and a type is
     required; an empty trigger is a repairable fault (the event has no
-    trigger). Every later token splits at its first colon. One without a
-    colon, role or target is a repairable fault and is dropped. Trailing
-    decimal digits of any script leave the role. Once every line is read,
-    the trigger must name a text-bound, preferably of the event's type, and
-    every target must name a text-bound."""
+    trigger). Every later token splits at its first colon, and trailing
+    decimal digits of any script leave its role. One then without a colon,
+    role or target is a repairable fault and is dropped. Once every line is
+    read, the trigger must name a text-bound, preferably of the event's
+    type, and every target must name a text-bound."""
     tokens = body.split()
     if not tokens:
         raise _Rejected("event line needs a trigger field")
@@ -454,11 +471,11 @@ def _event_by_the_rules(body, warn):
     arguments = []
     for token in tokens[1:]:
         role, colon, target = token.partition(":")
+        while role and role[-1].isdecimal():
+            role = role[:-1]
         if not (colon and role and target):
             warn(f"malformed event argument {token!r} on E1")
             continue
-        while role and role[-1].isdecimal():
-            role = role[:-1]
         arguments.append((role, target))
     if trigger:
         if trigger not in _EA_LABELS:
@@ -497,8 +514,9 @@ def _attribute_by_the_rules(body, warn):
 def _line_by_the_rules(line, strict):
     """What ``line`` (E1 or A1) must give as line 5 after ``_EA_CONTEXT``:
     ``("error", message, line_no)`` or ``("ok", record or None, warnings)``.
-    An .ann line loses one trailing CR; its fields are tab-separated, the
-    second is the body and any later field is ignored."""
+    An .ann line loses one trailing CR; its body is all after its first tab.
+    A tab inside the body is a repairable fault, and then separates tokens
+    as any other whitespace does."""
     if line.endswith("\r"):
         line = line[:-1]
     fields = line.split("\t")
@@ -510,12 +528,15 @@ def _line_by_the_rules(line, strict):
         warnings.append(f"n1:5: {message}")
 
     try:
+        if len(fields) > 2:
+            warn(f"tab inside the body of {fields[0]}")
+        body = "\t".join(fields[1:])
         if line.startswith("E"):
-            record = _event_by_the_rules(fields[1] if len(fields) > 1 else "", warn)
+            record = _event_by_the_rules(body, warn)
         elif len(fields) < 2:
             raise _Rejected("attribute line needs a body")
         else:
-            record = _attribute_by_the_rules(fields[1], warn)
+            record = _attribute_by_the_rules(body, warn)
     except _Rejected as exc:
         return ("error", f"n1:5: {exc}", 5)
     return ("ok", record, warnings)
@@ -537,10 +558,13 @@ def _parse_line(line, strict):
         "E1\tDrug:T1 Status:T2",
         "E1\tDrug:T1 Status2:T2 Status:T2",  # repeated role
         "E1\tDrug:T1 Status٣:T2",  # Arabic-Indic digit suffix
-        "E1\tDrug:T1 12:T2",  # all-digit role
+        "E1\tDrug:T1 12:T2",  # all-digit role: no role once stripped
+        "E1\tDrug:T1 ١٢:T2",  # the same in Arabic-Indic digits
         "E1\tDrug:T1\xa0Status:T2",
         "E1\t\u2003Drug:T1  Status:T2 \r",
-        "E1\tDrug:T1\tStatus:T2",  # a third field is ignored
+        "E1\tDrug:T1\tStatus:T2",  # a tab inside the body: a fault, then a space
+        "E1\t\tDrug:T1",
+        "E1\tDrug:T1\t",
         "E1\tDrug:",  # missing trigger
         "E1\tDrug: Status:T2",
         "E1\tDrug:T1 Status:",  # empty target
@@ -564,7 +588,9 @@ def _parse_line(line, strict):
         "A1\tStatusTime T2 past now",
         "A1\tStatusTime T2 past\xa0now",
         "A1\tStatusTime\u2003T2  past \u3000 now \r",
-        "A1\tStatusTime T2 past\tnow",
+        "A1\tStatusTime T2 past\tnow",  # a tab inside the body
+        "A1\tStatusTime\tT2",
+        "A1\tStatusTime\t",
         "A1\tNegated E9",
         "A1\tNegated T1",  # Negated is already set on T1
         "A1\tNegated T2:x",
@@ -578,7 +604,7 @@ def test_event_and_attribute_lines_follow_the_rules(line, strict):
     assert _parse_line(line, strict) == _line_by_the_rules(line, strict)
 
 
-# ASCII, NBSP and other Unicode whitespace; a tab ends the body instead.
+# ASCII, NBSP and other Unicode whitespace; a tab is a repairable fault.
 _SEPARATORS = (" ", " ", "  ", "\xa0", "\u2003", "\u3000", "\x0c", "\x1f", "\t")
 
 
@@ -613,10 +639,11 @@ def test_annotation_records_are_slotted():
     span = Span(((0, 4), (6, 9)))
     records = [
         span,
-        TextBound("T1", "Drug", span, "text"),
+        TextBound("T1", "Drug", span),
         EventAnnotation("E1", "Drug", "T1", (("Status", "T2"),)),
         AttributeAnnotation("A1", "StatusTime", "T2", "current"),
     ]
+    assert TextBound.__slots__ == ("id", "label", "span")
     for record in records:
         assert not hasattr(record, "__dict__")
         copy = replace(record)
@@ -761,7 +788,7 @@ def test_crlf_note_keeps_offsets(tmp_path, caplog):
 
     strict = load_corpus(tmp_path, strict=True)["n1"]
     assert strict.text == text
-    assert strict.text_bounds["T1"].covered_text == "smokes"
+    assert strict.text_bounds["T1"].span.extract(text) == "smokes"
     with caplog.at_level("WARNING"):
         lenient = load_corpus(tmp_path)["n1"]
     assert lenient == strict
@@ -783,7 +810,7 @@ def test_bom_counts_as_code_point_zero(tmp_path):
 
     doc = load_corpus(tmp_path, strict=True)["n1"]
     assert doc.text == text and start == 9
-    assert doc.text_bounds["T1"].covered_text == "smokes"
+    assert doc.text_bounds["T1"].span.extract(doc.text) == "smokes"
     out = tmp_path / "out"
     write_corpus(load_corpus(tmp_path, strict=True), out)
     for name in ("n1.txt", "n1.ann"):
@@ -808,6 +835,122 @@ def test_bom_at_start_of_ann_is_dropped(tmp_path, caplog):
     (tmp_path / "n1.txt").write_bytes(text.encode("utf-8"))
     (tmp_path / "n1.ann").write_bytes(("\ufeff" + ann).encode("utf-8"))
     assert load_corpus(tmp_path, strict=True)["n1"] == plain
+
+
+_EXTRA_LINES = (
+    "R{n}\tPart Arg1:T1 Arg2:T2",
+    "N{n}\tReference T1 Wiki:1\tname",
+    "#{n}\tAnnotatorNotes T1\tcheck",
+    "M{n}\tNegation E1",
+    "*\tAlias T1 T2",
+)
+
+
+def _plant_repairs(text, ann, rng):
+    """``(text, ann)`` with lenient faults planted at ``rng``'s choice: stated
+    text reversed or holding a CR, a CR or tab in the note under a span (its
+    stated text left stale or flattened), R, N, #, M and * lines, malformed
+    event arguments, a missing trigger, an event type unlike its trigger's
+    label, a duplicate attribute and CRLF line endings."""
+    lines = ann.split("\n")[:-1]
+    chars = list(text)
+
+    def rows(kind):
+        return [k for k, line in enumerate(lines) if line.startswith(kind)]
+
+    if not rows("A"):  # then T and E lines are there too
+        return text, ann
+
+    def restate(k, edit):
+        head, stated = lines[k].rsplit("\t", 1)
+        lines[k] = f"{head}\t{edit(stated)}"
+
+    if rng.random() < 0.5:
+        restate(rng.choice(rows("T")), lambda s: s[::-1])
+    if rng.random() < 0.5:
+        restate(rng.choice(rows("T")), lambda s: s[: len(s) // 2] + "\r" + s[len(s) // 2 :])
+    for ch in "\r\t":
+        if rng.random() < 0.5:
+            k = rng.choice(rows("T"))
+            offsets = lines[k].split("\t")[1].split(" ", 1)[1]
+            start, end = map(int, offsets.split(";")[0].split())
+            pos = rng.randrange(start, end)
+            chars[pos] = ch
+            if rng.random() < 0.5:  # stated as BRAT flattens it: no fault
+                restate(k, lambda s: s[: pos - start] + " " + s[pos - start + 1 :])
+    if rng.random() < 0.5:
+        k = rng.choice(rows("E"))
+        lines[k] += " " + " ".join(rng.sample(["Status", ":T1", "Type:"], rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        k = rng.choice(rows("E"))
+        ann_id, body = lines[k].split("\t")
+        trigger, sep, arguments = body.partition(" ")
+        lines[k] = f"{ann_id}\t{trigger.split(':', 1)[0]}:{sep}{arguments}"
+    if rng.random() < 0.3:
+        k = rng.choice(rows("E"))
+        ann_id, body = lines[k].split("\t")
+        lines[k] = f"{ann_id}\tAlcohol:{body.split(':', 1)[1]}"
+    if rng.random() < 0.5:
+        _, body = lines[rng.choice(rows("A"))].split("\t")
+        name, target = body.split(" ")[:2]
+        lines.append(f"A{100 + len(lines)}\t{name} {target} past")
+    for n, extra in enumerate(_EXTRA_LINES, start=1):
+        if rng.random() < 0.3:
+            lines.insert(rng.randrange(len(lines) + 1), extra.format(n=n))
+    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    return "".join(chars), "".join(line + newline for line in lines)
+
+
+def test_planted_repairs_keep_their_warnings_errors_and_bytes(tmp_path, shac):
+    """Lenient warnings in order, the strict error of each note and the
+    serialization of every lenient document, pinned by sha256 on a corpus
+    with every lenient fault planted."""
+    corpus = generate_gold(
+        GeneratorConfig(seed=8, notes=24, partitions=(("other", "unknown"),)), shac
+    )
+    for doc in corpus:
+        rng = random.Random(int(doc.doc_id[4:]))
+        text, ann = _plant_repairs(doc.text, serialize_document(doc), rng)
+        note_dir = tmp_path / doc.doc_id
+        note_dir.mkdir()
+        (note_dir / f"{doc.doc_id}.txt").write_bytes(text.encode("utf-8"))
+        (note_dir / f"{doc.doc_id}.ann").write_bytes(ann.encode("utf-8"))
+
+    logger = logging.getLogger(standoff.__name__)
+    handler = _Warnings()
+    logger.addHandler(handler)
+    try:
+        lenient = load_corpus(tmp_path)
+    finally:
+        logger.removeHandler(handler)
+    errors = []
+    for doc_id in lenient.doc_ids():
+        try:
+            load_corpus(tmp_path / doc_id, strict=True)
+            errors.append(f"{doc_id}: ok")
+        except StandoffError as exc:
+            errors.append(f"{exc} @ {exc.line_no}")
+    serialized = [serialize_document(lenient[doc_id]) for doc_id in lenient.doc_ids()]
+
+    planted = "\n".join(handler.messages)
+    for fault in (
+        "covered text mismatch", "'R'", "'N'", "'#'", "'M'", "'*'", "malformed event argument",
+        "has no trigger reference", "!= trigger label", "duplicates StatusTime",
+    ):
+        assert fault in planted, fault
+    assert "\\r" in planted and "\\t" in planted
+    assert any(b"\r\n" in p.read_bytes() for p in tmp_path.glob("*/*.ann"))
+
+    def digest(items):
+        return hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()
+
+    assert (len(handler.messages), digest(handler.messages)) == (
+        124, "8f1204d4eb002007224d4571d09f12154c024d3dfa4411f28eb58b3610850a5d"
+    )
+    assert (sum(not e.endswith(": ok") for e in errors), digest(errors)) == (
+        24, "ae9ac223d22e16c5b08d0b6f77261ddf507784078548ee0269bc25acaa4d2c8f"
+    )
+    assert digest(serialized) == "1f35223c19692f3df9c2a8f19982e2fe21f821768dd186f5378cd473192810e9"
 
 
 def _set_collector(enabled):
