@@ -149,11 +149,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cfg = BootstrapConfig(repetitions=args.reps, seed=args.seed, alpha=args.alpha)
     schema = _schema_from(args)
     gold = load_corpus(args.gold, strict=args.strict)
     pred_a = load_corpus(args.pred_a, strict=args.strict)
     pred_b = load_corpus(args.pred_b, strict=args.strict)
-    cfg = BootstrapConfig(repetitions=args.reps, seed=args.seed, alpha=args.alpha)
     result = paired_bootstrap(
         gold, pred_a, pred_b, schema, cfg, keep_deltas=bool(args.dump_deltas)
     )

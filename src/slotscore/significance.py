@@ -3,20 +3,25 @@ corpus, resampling at the note level.
 
 Per-note tallies are computed once per system; each repetition then draws
 notes with replacement, sums the cached tallies, and records the F1
-difference. Repetition i consumes a random stream derived solely from
-(seed, i) via a counter-based generator, so results are bit-identical
-regardless of execution order.
+difference. The random stream is Philox4x64 keyed by the seed. Repetition i
+starts at counter word 1 = i (every other counter word 0), which is the
+stream of ``Philox(key=seed).advance(i << 64)``. It depends on (seed, i)
+only, so a shorter run is a prefix of a longer one.
+
+numpy is imported only when a bootstrap runs, so scoring never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
 from .scoring import per_document_counts, prf
 from .standoff import Corpus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,8 @@ class BootstrapConfig:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -48,14 +55,11 @@ class BootstrapResult:
         return "statistically different" if self.significant else "not statistically different"
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent stream for one repetition, keyed by (seed, rep)."""
-    return np.random.Generator(np.random.Philox(key=seed).advance(rep << 64))
-
-
 def _note_totals(gold: Corpus, pred: Corpus, schema: AnnotationSchema) -> np.ndarray:
     """Per-note (tp, fn, fp) summed across all phenomenon keys, one row per
     gold note in sorted doc_id order."""
+    import numpy as np
+
     rows = []
     for counts in per_document_counts(gold, pred, schema).values():
         total = counts.total()
@@ -71,6 +75,8 @@ def _overall_f1(totals: np.ndarray) -> float:
 def _f1_rows(totals: np.ndarray) -> np.ndarray:
     """F1 of each (tp, fn, fp) row, in prf's operation order with every 0/0
     quotient defined as 0, so each value equals prf's bit for bit."""
+    import numpy as np
+
     tp, fn, fp = totals[:, 0], totals[:, 1], totals[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(tp + fp != 0, tp / (tp + fp), 0.0)
@@ -94,6 +100,8 @@ def paired_bootstrap(
     clamped to 1, so identical systems report exactly p = 1.0 and no
     comparison reports p = 0.
     """
+    import numpy as np
+
     cfg = cfg or BootstrapConfig()
     if len(gold) == 0:
         raise ValueError("gold corpus is empty")
@@ -106,11 +114,20 @@ def paired_bootstrap(
     f1_b = _overall_f1(totals[:, 3:].sum(axis=0))
     observed = f1_a - f1_b
 
+    # One generator serves every repetition. Assigning the fresh state with
+    # counter word 1 = rep also empties its buffered output, so repetition
+    # rep draws exactly the stream of Philox(key=seed).advance(rep << 64).
+    bit_gen = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    counter = fresh["state"]["counter"]
     # A repetition's sums are its note counts (how often each note was
     # drawn) times the per-note totals: exact integers, as a plain sum.
     sums = np.empty((cfg.repetitions, 6), dtype=np.int64)
     for rep in range(cfg.repetitions):
-        idx = _rep_rng(cfg.seed, rep).integers(0, n, size=n)
+        counter[1] = rep
+        bit_gen.state = fresh
+        idx = rng.integers(0, n, size=n)
         sums[rep] = np.bincount(idx, minlength=n) @ totals
     deltas = _f1_rows(sums[:, :3]) - _f1_rows(sums[:, 3:])
 

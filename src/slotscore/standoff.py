@@ -326,7 +326,7 @@ def parse_document(
         if kind == "T":
             if len(parts) < 2:
                 raise StandoffError("text-bound line needs type and offsets", doc_id, line_no)
-            stated_text = parts[2] if len(parts) >= 3 else ""
+            stated_text = "\t".join(parts[2:])  # the rest of the line, tabs and all
             head = parts[1].split(" ", 1)
             if len(head) != 2:
                 raise StandoffError(f"malformed text-bound header {parts[1]!r}", doc_id, line_no)
@@ -337,8 +337,9 @@ def parse_document(
                     f"span {span.fragments} exceeds text length {len(doc_text)}", doc_id, line_no
                 )
             covered = span.extract(doc_text)
-            # The stated text cannot hold LF or tab (they end the line or the
-            # field), so when it equals the slice only a CR can flatten away.
+            # The stated text is the slice with LF, CR and tab flattened, or
+            # the slice itself if it holds no CR: a raw CR never stands for
+            # itself. The stated text cannot hold LF, which ends the line.
             if (covered != stated_text or "\r" in covered) and (
                 _flatten_ws(covered) != stated_text
             ):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schema import LABELED, SPAN_ONLY, AnnotationSchema, ArgumentSpec, EventSpec
 from .scoring import (
@@ -34,6 +33,9 @@ from .standoff import (
     TextBound,
     annotation_sort_key,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GeneratorError(Exception):
@@ -128,6 +130,8 @@ class GeneratorConfig:
 
 
 def _draw(rng: np.random.Generator, dist: dict) -> object:
+    import numpy as np
+
     keys = sorted(dist)
     probs = np.asarray([dist[k] for k in keys], dtype=float)
     return keys[int(rng.choice(len(keys), p=probs / probs.sum()))]
@@ -252,6 +256,8 @@ def _emit_event(
 
 def generate_gold(cfg: GeneratorConfig, schema: AnnotationSchema) -> Corpus:
     """Synthesize a schema-valid corpus, reproducibly for a fixed seed."""
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, 0])
     corpus = Corpus()
     for i in range(cfg.notes):
@@ -420,6 +426,8 @@ def perturb(
     raise ValueError when an edit lands on one. All rates zero returns the
     input unchanged.
     """
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, 1])
     edits: list[Edit] = []
     out = Corpus()
@@ -660,6 +668,8 @@ def generate_alignment_case(
     spans may overlap arbitrarily, for stressing the greedy aligner
     against the oracle. Parameters are tuned so overlap is common but
     configurations where greedy matching is suboptimal stay rare."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, 2])
     text = "x" * window + "\n"
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slotscore
 from slotscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from slotscore.standoff import load_corpus, write_corpus
 from slotscore.testkit import GeneratorConfig, generate_gold, perturb
@@ -140,6 +145,40 @@ def test_compare_dump_deltas(fixture_dirs, tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert len(deltas.read_text().splitlines()) == 50
+
+
+def test_compare_rejects_bad_seed_before_loading(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for seed in ("-1", str(2**128)):
+        assert main(["compare", missing, missing, missing, "--seed", seed]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "seed must be in [0, 2**128)" in err and "missing" not in err
+
+
+def test_score_stats_and_validate_load_no_numpy(tmp_path):
+    # numpy is imported only when a bootstrap or gen runs
+    for name in ("gold", "pred"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "n1.txt").write_text("cocaine daily\n", encoding="utf-8")
+        (tmp_path / name / "n1.ann").write_text(
+            "T1\tDrug 0 7\tcocaine\nT2\tStatusTime 8 13\tdaily\n"
+            "E1\tDrug:T1 Status:T2\nA1\tStatusTime T2 current\n",
+            encoding="utf-8",
+        )
+    gold, pred = str(tmp_path / "gold"), str(tmp_path / "pred")
+    code = (
+        "import sys\n"
+        "import slotscore, slotscore.cli, slotscore.reports\n"
+        f"assert slotscore.cli.main(['score', {gold!r}, {pred!r}]) == 0\n"
+        f"assert slotscore.cli.main(['stats', {gold!r}]) == 0\n"
+        f"assert slotscore.cli.main(['validate', {gold!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(slotscore.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_validate_generator_output_is_clean(fixture_dirs, capsys):

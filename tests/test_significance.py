@@ -2,13 +2,13 @@ import dataclasses
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from slotscore.significance import (
     BootstrapConfig,
     BootstrapResult,
     _note_totals,
-    _rep_rng,
     paired_bootstrap,
 )
 from slotscore.standoff import Corpus, Document
@@ -21,6 +21,12 @@ def _corpus_of(docs):
     for doc in docs:
         corpus.add(doc)
     return corpus
+
+
+def _stream(seed, rep):
+    """The documented stream of repetition ``rep``: Philox4x64 keyed by the
+    seed, advanced by ``rep << 64``."""
+    return np.random.Generator(np.random.Philox(key=seed).advance(rep << 64))
 
 
 def _empty_like(gold):
@@ -133,7 +139,8 @@ def test_determinism_against_golden_pin(shac, golden_world):
     assert _golden_run(shac, golden_world, reps=120).deltas == first.deltas[:120]
 
 
-def test_resampler_equals_per_rep_loop(shac):
+@pytest.mark.parametrize("seed", [11, 2**64 + 5])  # the second fills key word 1
+def test_resampler_equals_per_rep_loop(shac, seed):
     # The per-repetition loop the resampler replaced, kept as the reference:
     # sum the drawn notes' totals, then prf on Python ints. Two of three
     # notes are empty and system B predicts nothing, so resamples with no
@@ -143,7 +150,7 @@ def test_resampler_equals_per_rep_loop(shac):
                       for i, d in enumerate(gold.doc_ids()))
     pred_a, _ = perturb(gold, GeneratorConfig(seed=3, notes=3, event_insert=0.5), shac)
     pred_b = _empty_like(gold)
-    reps, seed = 300, 11
+    reps = 300
     result = paired_bootstrap(
         gold, pred_a, pred_b, shac, BootstrapConfig(repetitions=reps, seed=seed), keep_deltas=True
     )
@@ -151,7 +158,7 @@ def test_resampler_equals_per_rep_loop(shac):
     totals_b = _note_totals(gold, pred_b, shac)
     expected = []
     for rep in range(reps):
-        idx = _rep_rng(seed, rep).integers(0, len(gold), size=len(gold))
+        idx = _stream(seed, rep).integers(0, len(gold), size=len(gold))
         f1_a = prf(*(int(x) for x in totals_a[idx].sum(axis=0)))[2]
         f1_b = prf(*(int(x) for x in totals_b[idx].sum(axis=0)))[2]
         expected.append(f1_a - f1_b)
@@ -182,7 +189,7 @@ def test_resample_equals_direct_scoring_on_note_multiset(shac, small_world):
         keep_deltas=True,
     )
     doc_ids = gold.doc_ids()
-    idx = _rep_rng(seed, rep).integers(0, len(doc_ids), size=len(doc_ids))
+    idx = _stream(seed, rep).integers(0, len(doc_ids), size=len(doc_ids))
 
     def multiset(corpus):
         out = Corpus()
@@ -208,6 +215,11 @@ def test_config_invariants():
         BootstrapConfig(repetitions=0)
     with pytest.raises(ValueError):
         BootstrapConfig(alpha=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        BootstrapConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        BootstrapConfig(seed=2**128)
+    assert BootstrapConfig(seed=2**128 - 1).seed == 2**128 - 1
 
 
 def test_notes_without_gold_slots_are_legal_resamples(shac):

@@ -274,9 +274,10 @@ def _t_line_by_the_rules(offsets, stated, text, strict):
     """What the line ``T1<TAB>Drug <offsets><TAB><stated>`` must give, worked
     out with the public ``Span`` alone: ``("error", message, line_no)`` or
     ``("ok", text_bound, warnings)``."""
-    # An .ann line loses one trailing CR; its third tab field is the stated text.
+    # An .ann line loses one trailing CR; the rest of it after the second tab
+    # is the stated text.
     line = f"T1\tDrug {offsets}\t{stated}"
-    stated = (line[:-1] if line.endswith("\r") else line).split("\t")[2]
+    stated = (line[:-1] if line.endswith("\r") else line).split("\t", 2)[2]
 
     def error(message):
         return ("error", f"n1:1: {message}", 1)
@@ -298,7 +299,9 @@ def _t_line_by_the_rules(offsets, stated, text, strict):
         return error(f"span {span.fragments} exceeds text length {len(text)}")
     covered = " ".join(text[s:e] for s, e in span.fragments)
     warnings = []
-    if covered.replace("\n", " ").replace("\r", " ").replace("\t", " ") != stated:
+    flattened = covered.replace("\n", " ").replace("\r", " ").replace("\t", " ")
+    # The covered text may also be stated as it is, unless it holds a CR.
+    if stated != flattened and (stated != covered or "\r" in covered):
         message = f"covered text mismatch for T1: file says {stated!r}, text has {covered!r}"
         if strict:
             return error(message)
@@ -370,7 +373,9 @@ _NOTE = "patient w cocaine use\r\tdaily"
         ("18 22", "use ", _NOTE),  # CR in the covered text, flattened
         ("18 22", "use\r", _NOTE),  # the line's one trailing CR is stripped
         ("18 22", "use\r\r", _NOTE),
-        ("18 23", "use\r\t", _NOTE),  # tab ends the stated-text field
+        ("18 23", "use\r\t", _NOTE),  # the tab is stated text, the raw CR never matches
+        ("22 28", "\tdaily", _NOTE),  # a tab may be stated as itself
+        ("10 17", "cocaine\tjunk", _NOTE),  # fields after a tab are stated text too
         ("18 23", "use  ", _NOTE),
         ("0 5", "ab\rcd", "ab\rcd"),  # a mid-line CR never matches the text
         ("0 5", "ab cd", "ab\rcd"),
