@@ -14,6 +14,7 @@ numpy is imported only when a bootstrap runs, so scoring never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
@@ -31,6 +32,16 @@ class BootstrapConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        # A float or string would run as another number, or fail only after
+        # both systems are scored; an integer type such as numpy's is kept as
+        # the int it stands for.
+        for name in ("repetitions", "seed"):
+            try:
+                object.__setattr__(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(
+                    f"{name} must be an integer, not {type(getattr(self, name)).__name__}"
+                ) from None
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.alpha < 1.0:

@@ -24,6 +24,16 @@ argument targets and an attribute's target are the very id objects of the
 annotations they name. Callers compare by equality and must not rely on
 identity either way. A text-bound stores no copy of the text it covers,
 which is ``tb.span.extract(doc.text)``.
+
+A T line of one fragment, written as BRAT writes it, takes a fast path:
+``ID<TAB>LABEL START END<TAB>TEXT`` with one space before each offset,
+offsets of at most 18 ASCII digits, a span inside the note, an id not seen
+before and a stated text that matches the note. Every other T line takes
+the general path: one with a sign, non-ASCII digits, ``;``, other or more
+whitespace, a stated text that differs, a duplicate id or a span past the
+note's end. The fast path keeps only lines that the general path keeps
+without a warning, and builds the same record, so the two give the same
+documents, warnings and errors.
 """
 
 from __future__ import annotations
@@ -232,6 +242,14 @@ def _flatten_ws(text: str) -> str:
     return text.replace("\n", " ").replace("\r", " ").replace("\t", " ")
 
 
+def _states(stated: str, covered: str) -> bool:
+    """Whether a T line's stated text matches the text its span covers: the
+    slice with LF, CR and tab flattened, or the slice itself if it holds no
+    CR. A raw CR never stands for itself, and the stated text cannot hold
+    LF, which ends the line."""
+    return (stated == covered and "\r" not in covered) or stated == _flatten_ws(covered)
+
+
 def _lines(text: str) -> list[str]:
     """Lines split on LF only, each stripped of one trailing CR. Unlike
     ``str.splitlines``, characters such as U+2028, form feed or NEL inside
@@ -256,20 +274,8 @@ def _read_raw(path: Path) -> str:
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
     # int() raises ValueError on a token that is not an integer, and also on
     # one of more digits than the interpreter converts (4,300 by default).
+    fragments = []
     try:
-        pieces = offsets.split()
-        if len(pieces) == 2:
-            a, b = pieces
-            # One fragment of plain ASCII digits with end > start is already a
-            # valid span; build it without validating it a second time. Signs,
-            # underscores, non-ASCII digits and ";" take the general path below.
-            if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
-                start, end = int(a), int(b)
-                if end > start:
-                    span = object.__new__(Span)
-                    object.__setattr__(span, "fragments", ((start, end),))
-                    return span
-        fragments = []
         for part in offsets.split(";"):
             pieces = part.split()
             if len(pieces) != 2:
@@ -282,6 +288,33 @@ def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
         return Span(tuple(fragments))
     except ValueError as exc:
         raise StandoffError(f"invalid span {offsets!r}: {exc}", doc_id, line_no) from None
+
+
+# A T line of one fragment stated as two runs of ASCII digits, each after one
+# space: id, label, start, end and stated text. Everything else that reads as
+# a T line takes the general path. At most 18 digits keep int() far from its
+# limit on the length of what it converts.
+_ONE_FRAGMENT_T = re.compile(r"(T[^\t]*)\t([^\t ]*) ([0-9]{1,18}) ([0-9]{1,18})\t(.*)", re.S)
+
+_new = object.__new__
+_set_fragments = Span.fragments.__set__
+_set_id = TextBound.id.__set__
+_set_label = TextBound.label.__set__
+_set_span = TextBound.span.__set__
+
+
+def _one_fragment_text_bound(ann_id: str, label: str, start: int, end: int) -> TextBound:
+    """``TextBound(ann_id, label, Span.single(start, end))`` for offsets
+    already known to satisfy ``0 <= start < end``. It sets the slots through
+    their descriptors: it skips the frozen ``__init__`` and the span's
+    validation, which the caller has done, and builds an equal record."""
+    span = _new(Span)
+    _set_fragments(span, ((start, end),))
+    tb = _new(TextBound)
+    _set_id(tb, ann_id)
+    _set_label(tb, label)
+    _set_span(tb, span)
+    return tb
 
 
 def parse_document(
@@ -314,16 +347,29 @@ def parse_document(
             raise StandoffError(message, doc_id, line_no)
         logger.warning("%s:%d: %s", doc_id or "<input>", line_no, message)
 
+    one_fragment_t = _ONE_FRAGMENT_T.fullmatch
+    text_len = len(doc_text)
     for line_no, line in enumerate(_lines(ann_text), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        ann_id = intern(parts[0])  # T1, E1, ... recur in every note
-        kind = ann_id[:1]
-        if kind in ("E", "A") and len(parts) > 2:  # read leniently as a space
-            fail_or_warn(f"tab inside the body of {ann_id}", line_no)
-
+        kind = line[:1]  # no T, E or A line is blank
         if kind == "T":
+            match = one_fragment_t(line)
+            if match is not None:
+                ann_id, label, start, end, stated_text = match.groups()
+                start, end = int(start), int(end)
+                # An empty span, one past the note's end, a duplicate id or a
+                # stated text that differs goes on to the general path.
+                if (
+                    start < end <= text_len
+                    and ann_id not in text_bounds
+                    and _states(stated_text, doc_text[start:end])
+                ):
+                    ann_id = intern(ann_id)
+                    text_bounds[ann_id] = _one_fragment_text_bound(
+                        ann_id, intern(label), start, end
+                    )
+                    continue
+            parts = line.split("\t")
+            ann_id = intern(parts[0])  # T1, E1, ... recur in every note
             if len(parts) < 2:
                 raise StandoffError("text-bound line needs type and offsets", doc_id, line_no)
             stated_text = "\t".join(parts[2:])  # the rest of the line, tabs and all
@@ -332,17 +378,12 @@ def parse_document(
                 raise StandoffError(f"malformed text-bound header {parts[1]!r}", doc_id, line_no)
             label, offsets = head
             span = _parse_fragments(offsets, doc_id, line_no)
-            if span.end > len(doc_text):
+            if span.end > text_len:
                 raise StandoffError(
-                    f"span {span.fragments} exceeds text length {len(doc_text)}", doc_id, line_no
+                    f"span {span.fragments} exceeds text length {text_len}", doc_id, line_no
                 )
             covered = span.extract(doc_text)
-            # The stated text is the slice with LF, CR and tab flattened, or
-            # the slice itself if it holds no CR: a raw CR never stands for
-            # itself. The stated text cannot hold LF, which ends the line.
-            if (covered != stated_text or "\r" in covered) and (
-                _flatten_ws(covered) != stated_text
-            ):
+            if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
                     f"text has {covered!r}"
@@ -353,13 +394,17 @@ def parse_document(
             text_bounds[ann_id] = TextBound(ann_id, intern(label), span)
 
         elif kind == "E":
-            pairs = line.partition("\t")[2].split()
+            ann_id, _, body = line.partition("\t")
+            ann_id = intern(ann_id)
+            if "\t" in body:  # read leniently as a space
+                fail_or_warn(f"tab inside the body of {ann_id}", line_no)
+            pairs = body.split()
             if not pairs:
                 raise StandoffError("event line needs a trigger field", doc_id, line_no)
-            head = pairs[0].split(":", 1)
-            if len(head) != 2 or not head[0]:
+            event_type, colon, trigger_ref = pairs[0].partition(":")
+            if not (colon and event_type):
                 raise StandoffError(f"malformed event trigger {pairs[0]!r}", doc_id, line_no)
-            event_type, trigger_ref = intern(head[0]), head[1]
+            event_type = intern(event_type)
             trigger: str | None = trigger_ref
             if not trigger_ref:
                 fail_or_warn(f"event {ann_id} has no trigger reference", line_no)
@@ -378,9 +423,12 @@ def parse_document(
             raw_events.append((line_no, ann_id, event_type, trigger, args))
 
         elif kind == "A":
-            if len(parts) < 2:
+            ann_id, tab, body = line.partition("\t")
+            ann_id = intern(ann_id)
+            if not tab:
                 raise StandoffError("attribute line needs a body", doc_id, line_no)
-            body = line.partition("\t")[2]
+            if "\t" in body:  # read leniently as a space
+                fail_or_warn(f"tab inside the body of {ann_id}", line_no)
             tokens = body.split()
             if len(tokens) < 2:
                 raise StandoffError(f"malformed attribute {body!r}", doc_id, line_no)
@@ -388,7 +436,11 @@ def parse_document(
             value = intern(" ".join(tokens[2:])) if len(tokens) > 2 else None
             raw_attrs.append((line_no, ann_id, name, target, value))
 
+        elif not line.strip():
+            continue
+
         elif kind in ("R", "N", "#", "M", "*"):
+            ann_id = line.partition("\t")[0]
             fail_or_warn(f"unsupported annotation kind {kind!r} ({ann_id})", line_no)
 
         else:
@@ -426,9 +478,7 @@ def parse_document(
             raise StandoffError(
                 f"event {ann_id} argument {role} references unknown {target}", doc_id, line_no
             )
-        events[ann_id] = EventAnnotation(
-            id=ann_id, event_type=event_type, trigger=trigger, arguments=tuple(arguments)
-        )
+        events[ann_id] = EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
 
     attributes: dict[str, AttributeAnnotation] = {}
     seen_name_target: dict[tuple[str, str], str] = {}
@@ -449,7 +499,7 @@ def parse_document(
             )
             continue
         seen_name_target[(name, target)] = ann_id
-        attributes[ann_id] = AttributeAnnotation(id=ann_id, name=name, target=target, value=value)
+        attributes[ann_id] = AttributeAnnotation(ann_id, name, target, value)
 
     return Document(
         doc_id=doc_id,

@@ -210,7 +210,7 @@ def test_empty_gold_rejected(shac):
         paired_bootstrap(Corpus(), Corpus(), Corpus(), shac, BootstrapConfig(repetitions=5))
 
 
-def test_config_invariants():
+def test_config_invariants(shac, small_world):
     with pytest.raises(ValueError):
         BootstrapConfig(repetitions=0)
     with pytest.raises(ValueError):
@@ -220,6 +220,23 @@ def test_config_invariants():
     with pytest.raises(ValueError, match="seed"):
         BootstrapConfig(seed=2**128)
     assert BootstrapConfig(seed=2**128 - 1).seed == 2**128 - 1
+    # A non-integer would otherwise run with another seed (numpy keys Philox
+    # with 1 for 1.5) or fail only after both systems are scored.
+    with pytest.raises(TypeError, match="seed"):
+        BootstrapConfig(seed=1.5, repetitions=2)
+    with pytest.raises(TypeError, match="repetitions"):
+        BootstrapConfig(repetitions=2.5)
+    # An integer of another type runs as the int it stands for.
+    gold, degraded = small_world
+    results = [
+        paired_bootstrap(
+            gold, gold, degraded, shac, BootstrapConfig(repetitions=50, seed=seed),
+            keep_deltas=True,
+        )
+        for seed in (np.int64(3), 3)
+    ]
+    assert type(results[0].seed) is int and results[0].seed == 3
+    assert struct.pack("<50d", *results[0].deltas) == struct.pack("<50d", *results[1].deltas)
 
 
 def test_notes_without_gold_slots_are_legal_resamples(shac):

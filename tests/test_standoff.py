@@ -1,9 +1,11 @@
 import gc
 import hashlib
 import logging
+import pickle
 import random
 import re
 import sys
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,18 +272,24 @@ def test_strict_parse_implies_identical_lenient_parse(shac):
 # One T line against the public Span and the documented rules
 # ---------------------------------------------------------------------------
 
-def _t_line_by_the_rules(offsets, stated, text, strict):
-    """What the line ``T1<TAB>Drug <offsets><TAB><stated>`` must give, worked
-    out with the public ``Span`` alone: ``("error", message, line_no)`` or
-    ``("ok", text_bound, warnings)``."""
-    # An .ann line loses one trailing CR; the rest of it after the second tab
-    # is the stated text.
-    line = f"T1\tDrug {offsets}\t{stated}"
-    stated = (line[:-1] if line.endswith("\r") else line).split("\t", 2)[2]
+def _t_line_by_the_rules(offsets, stated, text, strict, ann_id="T1", label="Drug", sep=" "):
+    """What the line ``<ann_id><TAB><label><sep><offsets><TAB><stated>`` must
+    give, worked out with the public ``Span`` alone: ``("error", message,
+    line_no)`` or ``("ok", text_bound, warnings)``."""
+    # An .ann line loses one trailing CR. Its id runs to the first tab, its
+    # header to the second, and the rest of it is the stated text.
+    line = f"{ann_id}\t{label}{sep}{offsets}\t{stated}"
+    ann_id, header, stated = (line[:-1] if line.endswith("\r") else line).split("\t", 2)
 
     def error(message):
         return ("error", f"n1:1: {message}", 1)
 
+    # The label ends at the header's first ASCII space; no other whitespace
+    # ends it, and the offsets are all that follows that space.
+    if " " not in header:
+        return error(f"malformed text-bound header {header!r}")
+    cut = header.index(" ")
+    label, offsets = header[:cut], header[cut + 1:]
     fragments = []
     for part in offsets.split(";"):
         pieces = part.split()
@@ -302,11 +310,11 @@ def _t_line_by_the_rules(offsets, stated, text, strict):
     flattened = covered.replace("\n", " ").replace("\r", " ").replace("\t", " ")
     # The covered text may also be stated as it is, unless it holds a CR.
     if stated != flattened and (stated != covered or "\r" in covered):
-        message = f"covered text mismatch for T1: file says {stated!r}, text has {covered!r}"
+        message = f"covered text mismatch for {ann_id}: file says {stated!r}, text has {covered!r}"
         if strict:
             return error(message)
         warnings.append(f"n1:1: {message}")
-    return ("ok", TextBound("T1", "Drug", span), warnings)
+    return ("ok", TextBound(ann_id, label, span), warnings)
 
 
 class _Warnings(logging.Handler):
@@ -334,10 +342,10 @@ def _parse_logged(ann, text, strict):
     return ("ok", doc, handler.messages)
 
 
-def _parse_t_line(offsets, stated, text, strict):
-    outcome = _parse_logged(f"T1\tDrug {offsets}\t{stated}\n", text, strict)
+def _parse_t_line(offsets, stated, text, strict, ann_id="T1", label="Drug", sep=" "):
+    outcome = _parse_logged(f"{ann_id}\t{label}{sep}{offsets}\t{stated}\n", text, strict)
     if outcome[0] == "ok":
-        return ("ok", outcome[1].text_bounds["T1"], outcome[2])
+        return ("ok", outcome[1].text_bounds[ann_id], outcome[2])
     return outcome
 
 
@@ -365,6 +373,11 @@ _NOTE = "patient w cocaine use\r\tdaily"
         ("-1 4", "pati", _NOTE),  # negative
         ("10 99", "cocaine", _NOTE),  # end out of bounds
         ("10 28", "cocaine use  daily", _NOTE),  # end at the text's end
+        ("23 28", "daily", _NOTE),
+        ("000000000000000010 000000000000000017", "cocaine", _NOTE),  # 18 digits
+        ("0000000000000000010 0000000000000000017", "cocaine", _NOTE),  # 19 digits
+        ("10 999999999999999999", "cocaine", _NOTE),
+        ("10 1000000000000000000", "cocaine", _NOTE),
         ("10 29", "cocaine use  daily", _NOTE),
         ("10", "cocaine", _NOTE),
         ("10 17 20", "cocaine", _NOTE),
@@ -393,6 +406,28 @@ def test_t_line_follows_the_rules(offsets, stated, text, strict):
     )
 
 
+# Ids, labels, and what separates the label from the offsets: str.split()
+# also splits on NBSP, U+001C and U+0085, but only an ASCII space ends a label.
+_T_IDS = ("T1", "T", "T1x", "T1 x")
+_T_LABELS = ("Drug", "", "Dr\xa0ug", "Dr\x1cug")
+_T_SEPARATORS = (" ", "  ", "\xa0", "\x1c", "\x85")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "ann_id, label, sep",
+    [(ann_id, "Drug", " ") for ann_id in _T_IDS[1:]]
+    + [("T1", label, " ") for label in _T_LABELS[1:]]
+    + [("T1", "Drug", sep) for sep in _T_SEPARATORS[1:]]
+    + [("T1", "Dr\xa0ug", "\xa0"), ("T1", "", "\x85")],
+)
+@pytest.mark.parametrize("offsets, stated", [("10 17", "cocaine"), ("10 17", "coke")])
+def test_t_line_header_follows_the_rules(offsets, stated, ann_id, label, sep, strict):
+    assert _parse_t_line(offsets, stated, _NOTE, strict, ann_id, label, sep) == (
+        _t_line_by_the_rules(offsets, stated, _NOTE, strict, ann_id, label, sep)
+    )
+
+
 _DIGITS = {
     "ascii": "0123456789",
     "arabic": "٠١٢٣٤٥٦٧٨٩",
@@ -404,12 +439,14 @@ _DIGITS = {
 @st.composite
 def _offset_token(draw, text_len):
     n = draw(st.integers(-3, text_len + 3))
-    styles = ["plain", "plain", "plus", "zeros", "underscore", "digits", "word"]
+    styles = ["plain", "plain", "plus", "zeros", "wide", "underscore", "digits", "word"]
     style = draw(st.sampled_from(styles))
     if style == "plus":
         return f"+{n}"
     if style == "zeros":
         return f"0{n}"
+    if style == "wide":  # 18 or 19 characters, padded with zeros
+        return str(n).zfill(draw(st.sampled_from([18, 19])))
     if style == "underscore":
         return f"{n // 10}_{n % 10}" if n >= 0 else f"-0_{-n}"
     if style == "digits":
@@ -423,21 +460,26 @@ def _offset_token(draw, text_len):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_t_line_matches_public_span_on_drawn_offsets(data):
+    def pick(*options):
+        return data.draw(st.sampled_from(options))
+
     text = data.draw(st.text(st.sampled_from("ab \t\r\né \U0001f600"), max_size=14))
+    # Mostly one fragment of two tokens after one space, as BRAT writes them.
+    header = (pick(*_T_IDS), pick(*_T_LABELS), pick(" ", " ", " ", *_T_SEPARATORS))
     fragments = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        tokens = [data.draw(_offset_token(len(text))) for _ in range(data.draw(st.integers(1, 3)))]
-        fragments.append(data.draw(st.sampled_from([" ", "  ", "\xa0"])).join(tokens))
+    for _ in range(pick(1, 1, 2, 3)):
+        tokens = [data.draw(_offset_token(len(text))) for _ in range(pick(2, 2, 1, 3))]
+        fragments.append(pick(" ", " ", "  ", "\xa0").join(tokens))
     offsets = ";".join(fragments)
     strict = data.draw(st.booleans())
-    expected = _t_line_by_the_rules(offsets, "", text, strict=False)
+    expected = _t_line_by_the_rules(offsets, "", text, False, *header)
     covered = expected[1].span.extract(text) if expected[0] == "ok" else ""
     stated = data.draw(
         st.sampled_from([covered, covered.replace("\r", " ").replace("\t", " "), covered + "\r"])
         | st.text(st.sampled_from("ab \t\ré"), max_size=6)
     ).replace("\n", " ")
-    assert _parse_t_line(offsets, stated, text, strict) == _t_line_by_the_rules(
-        offsets, stated, text, strict
+    assert _parse_t_line(offsets, stated, text, strict, *header) == _t_line_by_the_rules(
+        offsets, stated, text, strict, *header
     )
 
 
@@ -640,6 +682,67 @@ def test_drawn_event_and_attribute_lines_match_the_rules(data):
     assert _parse_line(line, strict) == _line_by_the_rules(line, strict)
 
 
+# ---------------------------------------------------------------------------
+# Lines of other kinds among T, E and A lines
+# ---------------------------------------------------------------------------
+
+_KINDS_NOTE = "cocaine now"
+_KINDS_LINES = ("T1\tDrug 0 7\tcocaine", "E1\tDrug:T1", "A1\tNegated E1")
+_KINDS_DOC = Document(
+    "n1",
+    _KINDS_NOTE,
+    {"T1": TextBound("T1", "Drug", Span.single(0, 7))},
+    {"E1": EventAnnotation("E1", "Drug", "T1")},
+    {"A1": AttributeAnnotation("A1", "Negated", "E1")},
+)
+
+
+_UNSUPPORTED_R = "unsupported annotation kind 'R' (R1)"
+_UNSUPPORTED_NOTES = "unsupported annotation kind '#' (#1)"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "other, lenient, strict_pin",
+    [
+        # Blank and whitespace-only lines are skipped in both modes.
+        ("", [], []),
+        (" ", [], []),
+        ("\t", [], []),
+        ("\xa0", [], []),
+        ("\x1c", [], []),
+        ("\x85", [], []),
+        ("\u2028", [], []),
+        # Unsupported kinds are skipped with a warning, or rejected strictly.
+        ("R1\tPart Arg1:T1 Arg2:T1", [_UNSUPPORTED_R], _UNSUPPORTED_R),
+        ("#1\tAnnotatorNotes T1\tcheck", [_UNSUPPORTED_NOTES], _UNSUPPORTED_NOTES),
+        # Rejected in both modes.
+        (" T1\tDrug 0 7", *[r"unrecognized annotation line ' T1\tDrug 0 7'"] * 2),
+        ("\tDrug 0 7", *[r"unrecognized annotation line '\tDrug 0 7'"] * 2),
+        ("E", *["event line needs a trigger field"] * 2),
+        ("A", *["attribute line needs a body"] * 2),
+    ],
+)
+def test_line_kinds_keep_their_skips_and_errors(other, lenient, strict_pin, strict):
+    """``other`` goes first, in the middle and last among the T, E and A
+    lines, in each of their three rotations. A pin is the warnings of a
+    parse that succeeds, or the message of the error it raises."""
+    pin = strict_pin if strict else lenient
+    for turn in range(3):
+        lines = list(_KINDS_LINES[turn:] + _KINDS_LINES[:turn])
+        for at in (0, 2, 3):
+            ann = "\n".join(lines[:at] + [other] + lines[at:]) + "\n"
+            where = f"n1:{at + 1}"
+            if isinstance(pin, str):
+                expected = ("error", f"{where}: {pin}", at + 1)
+            else:
+                expected = ("ok", _KINDS_DOC, [f"{where}: {message}" for message in pin])
+            outcome = _parse_logged(ann, _KINDS_NOTE, strict)
+            assert outcome == expected, (turn, at)
+            if outcome[0] == "ok":
+                assert repr(outcome[1]) == repr(_KINDS_DOC)
+
+
 def test_annotation_records_are_slotted():
     span = Span(((0, 4), (6, 9)))
     records = [
@@ -657,11 +760,20 @@ def test_annotation_records_are_slotted():
     assert replace(span, fragments=[(6, 9)]) == Span.single(6, 9)
     with pytest.raises(ValueError):
         replace(span, fragments=((4, 4),))
-    # A span built from one plain line equals and hashes as the public one.
-    parsed = parse_document("T1\tDrug 10 17\tcocaine\n", _NOTE, "n1").text_bounds["T1"]
-    assert not hasattr(parsed.span, "__dict__")
-    assert parsed.span == Span.single(10, 17) and hash(parsed.span) == hash(Span.single(10, 17))
+    # A text-bound built from one plain line equals, hashes and prints as the
+    # public one.
+    ann = "T1\tDrug 10 17\tcocaine\nT2\tDrug 0 7;10 17\tpatient cocaine\nE1\tDrug:T1 Type:T2\n"
+    doc = parse_document(ann + "A1\tNegated E1\n", _NOTE, "n1")
+    parsed, public = doc.text_bounds["T1"], TextBound("T1", "Drug", Span.single(10, 17))
+    for record in (parsed, parsed.span):
+        assert not hasattr(record, "__dict__")
+    assert parsed == public and hash(parsed) == hash(public) and repr(parsed) == repr(public)
+    assert parsed.span == public.span and hash(parsed.span) == hash(public.span)
     assert type(parsed.span.fragments[0][0]) is int
+    # A parsed document survives pickling and deep copying unchanged.
+    for copy in (pickle.loads(pickle.dumps(doc)), deepcopy(doc)):
+        assert copy == doc and repr(copy) == repr(doc)
+        assert hash(copy.text_bounds["T1"]) == hash(public)
 
 
 def test_annotation_sort_key_orders_numerically():
