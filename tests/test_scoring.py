@@ -1,10 +1,12 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotscore.schema import AnnotationSchema
 from slotscore.reports import METRIC_COLUMNS, metric_rows, render
 from slotscore.scoring import (
     LABELED_ARG,
@@ -283,6 +285,71 @@ def test_missing_subtype_scores_as_sentinel(shac):
     counts = score_document(_doc(GOLD_ANN, GOLD_TEXT), _doc(ann, GOLD_TEXT), shac)
     assert _triple(counts, PhenomenonKey(LABELED_ARG, "Drug", "StatusTime", "current")) == (0, 1, 0)
     assert _triple(counts, key) == (0, 0, 1)
+
+
+def test_subtype_carried_by_the_event_when_attributes_on_events(shac):
+    on_events = AnnotationSchema(shac.events, shac.version, attributes_on_events=True)
+    gold = _doc(GOLD_ANN.replace("A1\tStatusTime T2 current", "A1\tStatusTime E1 current"),
+                GOLD_TEXT)
+    status = PhenomenonKey(LABELED_ARG, "Drug", "StatusTime", "current")
+    assert _triple(score_document(gold, gold, on_events), status) == (1, 0, 0)
+    # an attribute on the argument's text-bound is not read under the switch
+    counts = score_document(gold, _doc(GOLD_ANN, GOLD_TEXT), on_events)
+    assert _triple(counts, status) == (0, 1, 0)
+    missing = PhenomenonKey(LABELED_ARG, "Drug", "StatusTime", MISSING_SUBTYPE)
+    assert _triple(counts, missing) == (0, 0, 1)
+    # the event's attribute decides, whatever the argument's text-bound says
+    pred = _doc(GOLD_ANN.replace("A1\tStatusTime T2 current",
+                                 "A1\tStatusTime E1 past\nA2\tStatusTime T2 current"), GOLD_TEXT)
+    counts = score_document(gold, pred, on_events)
+    assert _triple(counts, status) == (0, 1, 0)
+    assert _triple(counts, PhenomenonKey(LABELED_ARG, "Drug", "StatusTime", "past")) == (0, 0, 1)
+    assert _triple(counts, PhenomenonKey(TRIGGER, "Drug")) == (1, 0, 0)
+    assert _triple(counts, PhenomenonKey(SPAN_ONLY_ARG, "Drug", "Type")) == (1, 0, 0)
+    # the default schema reads the text-bound's attribute instead
+    assert _triple(score_document(gold, pred, shac), status) == (0, 0, 1)
+
+
+WARNING_TEXT = "drugs current cocaine wine past smokes now"
+
+
+def test_scoring_warnings_text_count_and_order(shac, caplog):
+    # gold E1 and pred E1 align; gold E2 and pred E3 stay unmatched; gold E4
+    # has an undeclared type, whose arguments are skipped without a word
+    gold = _doc(
+        "T1\tDrug 0 5\tdrugs\n"
+        "T2\tStatusTime 6 13\tcurrent\n"
+        "T3\tType 14 21\tcocaine\n"
+        "T4\tAlcohol 22 26\twine\n"
+        "T5\tStatusTime 27 31\tpast\n"
+        "E1\tDrug:T1 Status:T2 Weird:T3 Type:T3\n"
+        "E2\tAlcohol:T4 Odd:T5 Status:T5\n"
+        "T8\tBogus 14 21\tcocaine\n"
+        "E4\tBogus:T8 Weird:T2 Status:T2\n",
+        WARNING_TEXT,
+    )
+    pred = _doc(
+        "T1\tDrug 0 5\tdrugs\n"
+        "T2\tStatusTime 6 13\tcurrent\n"
+        "T6\tTobacco 32 38\tsmokes\n"
+        "T7\tStatusTime 39 42\tnow\n"
+        "E1\tDrug:T1 Status:T2 Strange:T2\n"
+        "E3\tTobacco:T6 Status:T7 Weird:T7\n",
+        WARNING_TEXT,
+    )
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="slotscore.scoring"):
+        score_document(gold, pred, shac)
+    assert [r.getMessage() for r in caplog.records if r.name == "slotscore.scoring"] == [
+        "n1: labeled argument StatusTime on E1 has no StatusTime attribute; scoring as <missing>",
+        "n1: role Strange on E1 is not declared for Drug; skipping in scoring",
+        "n1: labeled argument StatusTime on E1 has no StatusTime attribute; scoring as <missing>",
+        "n1: role Weird on E1 is not declared for Drug; skipping in scoring",
+        "n1: role Odd on E2 is not declared for Alcohol; skipping in scoring",
+        "n1: labeled argument StatusTime on E2 has no StatusTime attribute; scoring as <missing>",
+        "n1: labeled argument StatusTime on E3 has no StatusTime attribute; scoring as <missing>",
+        "n1: role Weird on E3 is not declared for Tobacco; skipping in scoring",
+    ]
 
 
 def test_doc_id_mismatch_raises(shac):
