@@ -7,6 +7,11 @@ exactly; labeled arguments are span-agnostic and match on subtype alone.
 True positives, false negatives, and false positives are tallied per
 phenomenon (event type x argument type x subtype) and micro-averaged.
 
+``score_document`` tallies a note in one walk: each side's events are
+sorted once and matched by the one alignment core that ``align_events``
+also wraps. Roles resolve through the role table each ``EventSpec`` builds
+once (``_by_role``), so the table lives and dies with its schema.
+
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
 (say, in its line endings) is an error, not a score.
@@ -16,8 +21,9 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .schema import SPAN_ONLY, AnnotationSchema, ArgumentSpec
 from .standoff import (
@@ -25,7 +31,6 @@ from .standoff import (
     Corpus,
     Document,
     EventAnnotation,
-    Span,
     annotation_sort_key,
 )
 
@@ -200,20 +205,48 @@ class EventAlignment:
     unmatched_pred: tuple[EventAnnotation, ...]
 
 
-def _document_order(doc: Document) -> list[tuple[EventAnnotation, Span | None]]:
-    """Events in document order, each with its trigger span resolved once:
-    ascending trigger start, then end, then annotation id. Trigger-less
-    events (span None) sort last and never match."""
-    rows = []
+def _ordered_rows(doc: Document) -> tuple[list[tuple], list[EventAnnotation]]:
+    """A note's events sorted once: rows of plain values (trigger start,
+    trigger end, annotation_sort_key(id), event, trigger span), then the
+    events whose trigger does not resolve, by id; those never match."""
+    rows, tail = [], []
     for event in doc.events.values():
-        tb = doc.trigger_of(event)
+        tb = doc.text_bounds.get(event.trigger)
         if tb is None:
-            rows.append(((1, 0, 0, annotation_sort_key(event.id)), event, None))
+            tail.append((annotation_sort_key(event.id), event))
         else:
-            span = tb.span
-            rows.append(((0, span.start, span.end, annotation_sort_key(event.id)), event, span))
-    rows.sort(key=lambda row: row[0])
-    return [(event, span) for _, event, span in rows]
+            frags = tb.span.fragments
+            rows.append((frags[0][0], frags[-1][1], annotation_sort_key(event.id), event, tb.span))
+    rows.sort()
+    tail.sort()
+    return rows, [event for _, event in tail]
+
+
+def _align(gold: Document, pred: Document) -> tuple[list, list, list]:
+    """The one alignment core: (matched (gold, pred) pairs, unmatched gold,
+    unmatched pred), each in document order. See ``align_events``."""
+    gold_rows, gold_tail = _ordered_rows(gold)
+    pred_rows, pred_tail = _ordered_rows(pred)
+    buckets: dict[str, list[tuple]] = {}
+    for row in pred_rows:
+        buckets.setdefault(row[3].event_type, []).append(row)
+
+    matched, unmatched_gold = [], []
+    for _, g_end, _, g, g_span in gold_rows:
+        bucket = buckets.get(g.event_type, ())
+        for i, (p_start, _, _, p, p_span) in enumerate(bucket):
+            if p_start >= g_end:
+                unmatched_gold.append(g)
+                break
+            if g_span.overlaps(p_span):
+                matched.append((g, p))
+                del bucket[i]
+                break
+        else:
+            unmatched_gold.append(g)
+    # The rows left in the buckets are the unmatched pred events.
+    left = sorted(row for bucket in buckets.values() for row in bucket)
+    return matched, unmatched_gold + gold_tail, [row[3] for row in left] + pred_tail
 
 
 def align_events(gold: Document, pred: Document) -> EventAlignment:
@@ -223,37 +256,10 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
     still-unmatched predicted event (same order) with an equivalent
     trigger. Predicted events wait in per-type buckets in document order,
     so the scan for one gold event stops at the first predicted trigger
-    that starts at or after the gold trigger's end.
+    that starts at or after the gold trigger's end. ``score_document``
+    aligns through the same core; this wraps its result.
     """
-    gold_events = _document_order(gold)
-    pred_events = _document_order(pred)
-
-    buckets: dict[str, list[tuple[Span, EventAnnotation]]] = {}
-    for p, p_span in pred_events:
-        if p_span is not None:
-            buckets.setdefault(p.event_type, []).append((p_span, p))
-
-    matched: list[tuple[EventAnnotation, EventAnnotation]] = []
-    for g, g_span in gold_events:
-        bucket = buckets.get(g.event_type) if g_span is not None else None
-        if not bucket:
-            continue
-        g_end = g_span.end
-        for i, (p_span, p) in enumerate(bucket):
-            if p_span.start >= g_end:
-                break
-            if g_span.overlaps(p_span):
-                matched.append((g, p))
-                del bucket[i]
-                break
-
-    matched_gold = {g.id for g, _ in matched}
-    taken = {p.id for _, p in matched}
-    return EventAlignment(
-        matched=tuple(matched),
-        unmatched_gold=tuple(g for g, _ in gold_events if g.id not in matched_gold),
-        unmatched_pred=tuple(p for p, _ in pred_events if p.id not in taken),
-    )
+    return EventAlignment(*(tuple(part) for part in _align(gold, pred)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +288,23 @@ def resolve_subtype(
     return attr.value
 
 
-def _event_slots(
-    doc: Document,
-    event: EventAnnotation,
-    schema: AnnotationSchema,
-    attrs: dict[tuple[str, str], AttributeAnnotation],
-) -> dict[tuple, int]:
-    """The multiset of slots one event fills, as {(key, match value):
-    count}: its trigger (match value None), each span-only argument (its
-    fragments) and each labeled argument (its subtype).
-
-    The key is a plain (kind, event type, argument type, subtype) tuple;
-    each distinct one becomes a PhenomenonKey only when a note's tallies are
-    handed out. Arguments whose role the schema does not declare are not
-    scorable phenomena and are skipped (validation is the surface that
-    reports them).
-    """
+def _slots(doc: Document, event: EventAnnotation, schema: AnnotationSchema,
+           attrs: dict[tuple[str, str], AttributeAnnotation]) -> list[tuple]:
+    """The slots one event fills, as a list of (key, match value): its
+    trigger (match value None), then in argument order each span-only
+    argument (its fragments) and each labeled argument (its subtype). The
+    key is a plain (kind, event type, argument type, subtype) tuple.
+    Undeclared roles are not scorable phenomena: they are skipped with a
+    warning (validation reports them), and an undeclared event type fills
+    its trigger slot only."""
     event_type = event.event_type
-    slots: dict[tuple, int] = {((TRIGGER, event_type, None, None), None): 1}
+    slots = [((TRIGGER, event_type, None, None), None)]
     event_spec = schema.event(event_type)
     if event_spec is None:
         return slots
+    roles = event_spec._by_role  # the type's role table, read without a call per role
     for role, target in event.arguments:
-        spec = event_spec.by_role(role)
+        spec = roles.get(role)
         if spec is None:
             logger.warning(
                 "%s: role %s on %s is not declared for %s; skipping in scoring",
@@ -312,14 +312,11 @@ def _event_slots(
             )
             continue
         if spec.kind == SPAN_ONLY:
-            slot = (
-                (SPAN_ONLY_ARG, event_type, spec.argument_type, None),
-                doc.text_bounds[target].span.fragments,
-            )
-        else:
-            subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
-            slot = ((LABELED_ARG, event_type, spec.argument_type, subtype), subtype)
-        slots[slot] = slots.get(slot, 0) + 1
+            span = doc.text_bounds[target].span
+            slots.append(((SPAN_ONLY_ARG, event_type, spec.argument_type, None), span.fragments))
+            continue
+        subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
+        slots.append(((LABELED_ARG, event_type, spec.argument_type, subtype), subtype))
     return slots
 
 
@@ -330,10 +327,13 @@ def _phenomenon(kind: str, event_type: str, argument_type: str | None,
 
 
 def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
-    """Tally one note. A matched pair's shared slots are tp, its gold-only
-    slots fn and its pred-only slots fp; every slot of an unmatched gold
-    (pred) event is fn (fp). Raises ScoringError when the notes differ in
-    doc_id or in text."""
+    """Tally one note in one walk: align once, then add each event's slots
+    to the note's [tp, fn, fp] cells. A matched pair's shared slots are tp
+    (min(n, m) for a slot gold fills n times and pred m), its gold-only
+    slots fn and its pred-only slots fp. An unmatched gold (pred) event's
+    slots are fn (fp) by key, with no comparison. Warnings come in that
+    order, pred before gold within a pair. Raises ScoringError when the
+    notes differ in doc_id or in text."""
     if gold.doc_id != pred.doc_id:
         raise ScoringError(f"doc_id mismatch: gold {gold.doc_id!r} vs pred {pred.doc_id!r}")
     if pred.text != gold.text:
@@ -342,36 +342,28 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
             f"{gold.doc_id}: predicted note text differs from gold at code point {at}; "
             "offsets into different texts cannot be compared"
         )
-    alignment = align_events(gold, pred)
-    gold_attrs = gold.attribute_index()
-    pred_attrs = pred.attribute_index()
-    cells: dict[tuple, list[int]] = {}
+    matched, unmatched_gold, unmatched_pred = _align(gold, pred)
+    gold_attrs, pred_attrs = gold.attribute_index(), pred.attribute_index()
+    cells: defaultdict[tuple, list[int]] = defaultdict(partial(list, (0, 0, 0)))
 
-    def add(key: tuple, tp: int, fn: int, fp: int) -> None:
-        cell = cells.setdefault(key, [0, 0, 0])
-        cell[0] += tp
-        cell[1] += fn
-        cell[2] += fp
+    for g_event, p_event in matched:
+        pred_slots = _slots(pred, p_event, schema, pred_attrs)
+        for slot in _slots(gold, g_event, schema, gold_attrs):
+            if slot in pred_slots:
+                pred_slots.remove(slot)
+                cells[slot[0]][0] += 1
+            else:
+                cells[slot[0]][1] += 1
+        for key, _ in pred_slots:
+            cells[key][2] += 1
+    for g_event in unmatched_gold:
+        for key, _ in _slots(gold, g_event, schema, gold_attrs):
+            cells[key][1] += 1
+    for p_event in unmatched_pred:
+        for key, _ in _slots(pred, p_event, schema, pred_attrs):
+            cells[key][2] += 1
 
-    for g_event, p_event in alignment.matched:
-        pred_slots = _event_slots(pred, p_event, schema, pred_attrs)
-        for slot, n in _event_slots(gold, g_event, schema, gold_attrs).items():
-            m = pred_slots.pop(slot, 0)
-            tp = min(n, m)
-            add(slot[0], tp, n - tp, m - tp)
-        for slot, m in pred_slots.items():
-            add(slot[0], 0, 0, m)
-    for g_event in alignment.unmatched_gold:
-        for slot, n in _event_slots(gold, g_event, schema, gold_attrs).items():
-            add(slot[0], 0, n, 0)
-    for p_event in alignment.unmatched_pred:
-        for slot, m in _event_slots(pred, p_event, schema, pred_attrs).items():
-            add(slot[0], 0, 0, m)
-
-    out = ScoreCounts()
-    for key, (tp, fn, fp) in cells.items():
-        out.counts[_phenomenon(*key)] = Counts(tp, fn, fp)
-    return out
+    return ScoreCounts({_phenomenon(*key): Counts(*cell) for key, cell in cells.items()})
 
 
 def per_document_counts(

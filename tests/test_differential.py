@@ -22,9 +22,10 @@ from slotscore.standoff import (
 
 TEXT = "x" * 24
 # Few distinct spans, so that triggers overlap and argument spans repeat
-# across notes; the last two are discontinuous.
+# across notes. The last two are discontinuous, and (2, 4) and (11, 14) sit
+# in their gaps: inside their extents, sharing no character.
 SPANS = (
-    ((0, 3),), ((2, 5),), ((5, 8),), ((9, 12),), ((9, 13),),
+    ((0, 3),), ((2, 5),), ((5, 8),), ((9, 12),), ((9, 13),), ((2, 4),), ((11, 14),),
     ((1, 2), (4, 6)), ((9, 10), (14, 16)),
 )
 EVENT_TYPES = ("Drug", "Drug", "Alcohol", "LivingStatus", "Bogus")
@@ -72,8 +73,12 @@ def _random_note(rng, schema: AnnotationSchema) -> Document:
             arguments.append((role, target))
             arg = spec.by_role(role) if spec is not None else None
             if arg is not None and arg.kind == LABELED:
-                carrier = event_id if schema.attributes_on_events else target
+                carrier, other = (target, event_id)
+                if schema.attributes_on_events:
+                    carrier, other = other, carrier
                 attribute(carrier, arg.attribute_name)
+                if rng.random() < 0.2:
+                    attribute(other, arg.attribute_name)  # read only under the other setting
         events[event_id] = EventAnnotation(event_id, event_type, trigger, tuple(arguments))
     return Document("n1", TEXT, text_bounds, events, attributes)
 
