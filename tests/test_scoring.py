@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotscore.schema import AnnotationSchema
 from slotscore.reports import METRIC_COLUMNS, metric_rows, render
+from slotscore.schema import AnnotationSchema
 from slotscore.scoring import (
     LABELED_ARG,
     MISSING_SUBTYPE,
