@@ -161,6 +161,8 @@ def test_criterion_3_oracle_alignment():
     _criterion(3, f"greedy matches oracle on {agreement:.1%} of {documents} documents "
                   f"({len(mismatches)} logged) in {elapsed:.1f}s",
                agreement >= 0.99 and elapsed < 30.0)
+    # the generated cases are pinned: the same seeds disagree on every run
+    assert [seed for seed, _, _ in mismatches] == [114, 387, 574, 595, 882]
 
 
 # ---------------------------------------------------------------------------

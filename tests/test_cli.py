@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -332,3 +333,82 @@ def test_custom_schema_via_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SLOTSCORE_SCHEMA", str(schema_file))
     assert main(["validate", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
+
+
+def _planted_corpus(schema):
+    """A generated corpus with three planted violations: a missing subtype
+    (note0000: every attribute on the first event and its arguments
+    removed), an unknown role (note0001: a Dose argument) and an unexpected
+    attribute (note0002: a StatusTime attribute on a trigger)."""
+    from dataclasses import replace
+
+    from slotscore.standoff import AttributeAnnotation, Corpus, Span, TextBound
+
+    gold = generate_gold(GeneratorConfig(seed=21, notes=5), schema)
+    out = Corpus()
+    for doc in gold:
+        first = next(iter(doc.events.values()))
+        if doc.doc_id == "note0000":
+            owned = {first.id, *(target for _, target in first.arguments)}
+            doc = replace(doc, attributes={
+                a_id: a for a_id, a in doc.attributes.items() if a.target not in owned
+            })
+        elif doc.doc_id == "note0001":
+            dose = TextBound("T900", "Dose", Span.single(0, 3))
+            event = replace(first, arguments=(*first.arguments, ("Dose", "T900")))
+            doc = replace(
+                doc,
+                text_bounds={**doc.text_bounds, "T900": dose},
+                events={**doc.events, first.id: event},
+            )
+        elif doc.doc_id == "note0002":
+            stray = AttributeAnnotation("A900", "StatusTime", first.trigger, "current")
+            doc = replace(doc, attributes={**doc.attributes, "A900": stray})
+        out.add(doc)
+    return out
+
+
+# sha256 of the stats and validate TSV reports: (the generator's setting of
+# attributes_on_events, the setting of the schema that reads the corpus,
+# command). Across settings every subtype reads as missing and every
+# attribute as unexpected.
+REPORT_PINS = {
+    (False, False, "stats"): "f91ed6d7c52cef90eea176efe0597c13c94016919af91e3e25d83254bb8bd42b",
+    (False, False, "validate"): "06abff8ebd332b2e292625600d2632881606b74d62e92acd7abbecc6421d545c",
+    (False, True, "stats"): "b88132ed75662bed6ce9ec294a3e6125bb99dd454df8da2b663744e9d7418bb0",
+    (False, True, "validate"): "f1843f62334b32bfc25222182d36ff65233922578eb35569de587b23c44a821a",
+    (True, False, "stats"): "b88132ed75662bed6ce9ec294a3e6125bb99dd454df8da2b663744e9d7418bb0",
+    (True, False, "validate"): "92e20fb0b2f1a69916c3b97b1a4b02c98baf00ff4d4cd649166b670235986383",
+    (True, True, "stats"): "f91ed6d7c52cef90eea176efe0597c13c94016919af91e3e25d83254bb8bd42b",
+    (True, True, "validate"): "06abff8ebd332b2e292625600d2632881606b74d62e92acd7abbecc6421d545c",
+}
+
+
+@pytest.mark.parametrize("written_on_events", [False, True])
+def test_stats_and_validate_reports_are_pinned(tmp_path, capsys, written_on_events):
+    from importlib import resources
+
+    from slotscore.schema import load_schema
+
+    shac_text = resources.files("slotscore").joinpath("configs/shac.yaml").read_text(
+        encoding="utf-8"
+    )
+    schemas = {}
+    for on_events in (False, True):
+        schemas[on_events] = tmp_path / f"schema-{on_events}.yaml"
+        schemas[on_events].write_text(shac_text.replace(
+            "attributes_on_events: false", f"attributes_on_events: {str(on_events).lower()}"
+        ), encoding="utf-8")
+    schema = load_schema(schemas[written_on_events].read_text(encoding="utf-8"))
+    assert schema.attributes_on_events is written_on_events
+    write_corpus(_planted_corpus(schema), tmp_path / "corpus")
+    digests = {}
+    for read_on_events, schema_file in schemas.items():
+        for command, code in (("stats", EXIT_OK), ("validate", EXIT_DATA)):
+            report = tmp_path / f"{command}.tsv"
+            args = [command, str(tmp_path / "corpus"), "--schema", str(schema_file)]
+            assert main([*args, "--output", str(report)]) == code
+            digest = hashlib.sha256(report.read_bytes()).hexdigest()
+            digests[(written_on_events, read_on_events, command)] = digest
+    capsys.readouterr()
+    assert digests == {k: v for k, v in REPORT_PINS.items() if k[0] == written_on_events}

@@ -1123,3 +1123,71 @@ def test_corpus_rejects_duplicate_add():
     corpus.add(Document("n1", "text"))
     with pytest.raises(StandoffError):
         corpus.add(Document("n1", "text"))
+
+
+# ---------------------------------------------------------------------------
+# Strict and lenient parsing of drawn .ann files
+# ---------------------------------------------------------------------------
+
+_DRAWN_NOTE = "pt uses cocaine daily; cocaine\r\nno alcohol now"
+
+
+@st.composite
+def _ann_file(draw):
+    """An .ann file whose lines are well formed or hold a defect that the
+    two modes treat differently: a stated text unlike the note, a
+    trigger-less event, a malformed argument, a tab in a body, a duplicate
+    attribute or an unsupported kind. A dangling reference or a repeated id
+    now and then is an error in both modes."""
+    lines = ["T1\tDrug 8 15\tcocaine", "T2\tType 23 30\tcocaine", "T3\tStatusTime 16 21\tdaily"]
+    for i in range(4, 4 + draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from("TEEAAR#"))
+        if kind == "T":
+            start = draw(st.integers(0, len(_DRAWN_NOTE) - 1))
+            end = draw(st.integers(start + 1, len(_DRAWN_NOTE)))
+            covered = _DRAWN_NOTE[start:end].replace("\r", " ").replace("\n", " ")
+            stated = draw(st.sampled_from([covered, covered, "cocaine"]))
+            lines.append(f"T{i}\tDrug {start} {end}\t{stated}")
+        elif kind == "E":
+            trigger = draw(st.sampled_from(["T1", "T1", "T4", ""]))
+            args = draw(st.lists(st.sampled_from(["Type:T2", "Status2:T3", ":T2", "Type"]),
+                                 max_size=2))
+            sep = draw(st.sampled_from([" ", " ", "\t"]))
+            lines.append(f"E{i}\tDrug:{trigger}" + "".join(sep + a for a in args))
+        elif kind == "A":
+            target = draw(st.sampled_from(["T3", "T3", "T2", "E9"]))
+            lines.append(f"A{draw(st.integers(1, 8))}\tStatusTime {target} current")
+        else:
+            lines.append(f"{kind}{i}\tPart Arg1:T1 Arg2:T2")
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ann=_ann_file())
+def test_strict_success_means_an_equal_silent_lenient_parse(ann):
+    strict = _parse_logged(ann, _DRAWN_NOTE, strict=True)
+    lenient = _parse_logged(ann, _DRAWN_NOTE, strict=False)
+    if strict[0] == "ok":
+        assert lenient == strict
+    # and conversely: a lenient parse that warns of nothing is the strict one
+    if lenient[0] == "ok" and not lenient[2]:
+        assert strict == lenient
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_lenient_covered_text_repair_never_moves_a_span(data):
+    # Few letters, so a stated text that differs is often found elsewhere in
+    # the note, where a repair that searched for it would move the span.
+    text = data.draw(st.text("ab c\r\n", min_size=1, max_size=30))
+    bounds = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=4)))
+    fragments = tuple(zip(bounds[0::2], bounds[1::2]))
+    offsets = ";".join(f"{s} {e}" for s, e in fragments)
+    stated = data.draw(st.text("ab c", max_size=6))
+    outcome = _parse_logged(f"T1\tDrug {offsets}\t{stated}\n", text, strict=False)
+    assert outcome[0] == "ok"
+    _, doc, warnings = outcome
+    assert doc.text_bounds["T1"].span.fragments == fragments
+    covered = Span(fragments).extract(text)
+    if stated != covered.replace("\r", " ").replace("\n", " ") and stated != covered:
+        assert len(warnings) == 1 and "covered text mismatch for T1" in warnings[0]

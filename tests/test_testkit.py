@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from slotscore import testkit
 from slotscore.analytics import density_breakdown
 from slotscore.schema import validate_document
 from slotscore.scoring import LABELED_ARG, align_events, score_corpus
-from slotscore.standoff import serialize_document
+from slotscore.standoff import DocumentMetadata, serialize_document
 from slotscore.testkit import (
     Edit,
     GeneratorConfig,
@@ -216,24 +217,49 @@ def test_greedy_agrees_with_oracle_at_least_99_percent():
     assert mismatches / 500 < 0.01
 
 
+def test_alignment_cases_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        for doc in generate_alignment_case(seed):
+            digest.update(f"{doc.doc_id}\n{doc.text}{serialize_document(doc)}".encode())
+            assert doc.metadata == DocumentMetadata() and not doc.attributes
+    assert digest.hexdigest() == "a976365b1e13a65f76dbdee6705ee806c8d1305477247e3306dd10a1535065eb"
+
+
 # Output vocabulary and containers: what an oracle may take from the scorer.
 SCORER_NAMES_ORACLES_MAY_USE = {
     "LABELED_ARG", "MISSING_SUBTYPE", "SPAN_ONLY_ARG", "TRIGGER", "PhenomenonKey", "ScoreCounts",
 }
 
 
-def test_oracles_take_no_rule_from_the_scorer():
-    """testkit's oracles import no scoring rule and call no Span.overlaps,
-    the test the aligner runs; if they did, the scorer would be checked
-    against itself."""
-    tree = ast.parse(Path(testkit.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize(
+    "path, allowed",
+    [
+        (Path(testkit.__file__), SCORER_NAMES_ORACLES_MAY_USE),
+        (Path(__file__).with_name("oracles.py"), set()),
+    ],
+    ids=["testkit", "oracles"],
+)
+def test_oracles_take_no_rule_from_the_scorer(path, allowed):
+    """The oracles in testkit and tests/oracles.py import no scoring rule and
+    call no Span.overlaps, the test the aligner runs; if they did, the scorer
+    would be checked against itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     from_scoring = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module in ("scoring", "slotscore.scoring")
         for alias in node.names
     }
-    assert from_scoring <= SCORER_NAMES_ORACLES_MAY_USE
+    # the module itself: import slotscore.scoring, from slotscore import scoring
+    imports_scoring = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name in ("slotscore.scoring", "scoring")
+    ]
+    assert from_scoring <= allowed and not imports_scoring
     assert not [
         node.lineno
         for node in ast.walk(tree)
