@@ -62,7 +62,7 @@ def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
             if event_spec is None:
                 continue
             for role, target in event.arguments:
-                spec = event_spec.by_role(role)
+                spec = event_spec.roles.get(role)
                 if spec is None or spec.kind != LABELED:
                     continue
                 subtype = resolve_subtype(doc, event, target, spec, schema, attrs)

@@ -61,9 +61,17 @@ class ArgumentSpec:
 
 @dataclass(frozen=True)
 class EventSpec:
+    """One event type and its argument slots.
+
+    ``roles`` maps each role to its ``ArgumentSpec``, so an event line's
+    ``role:target`` pair resolves with ``roles.get(role)`` (None for an
+    undeclared role). It is built once from ``arguments`` and, like a
+    ``Document``'s dicts, is read-only by convention.
+    """
+
     event_type: str
     arguments: tuple[ArgumentSpec, ...] = ()
-    _by_role: dict[str, ArgumentSpec] = field(init=False, repr=False, compare=False)
+    roles: dict[str, ArgumentSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arguments", tuple(self.arguments))
@@ -73,10 +81,7 @@ class EventSpec:
         arg_types = [a.argument_type for a in self.arguments]
         if len(set(arg_types)) != len(arg_types):
             raise SchemaError(f"duplicate argument types in event type {self.event_type}")
-        object.__setattr__(self, "_by_role", {a.role: a for a in self.arguments})
-
-    def by_role(self, role: str) -> ArgumentSpec | None:
-        return self._by_role.get(role)
+        object.__setattr__(self, "roles", {a.role: a for a in self.arguments})
 
     def required_arguments(self) -> tuple[ArgumentSpec, ...]:
         return tuple(a for a in self.arguments if a.required)
@@ -84,7 +89,12 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class AnnotationSchema:
-    """An immutable, shareable declaration of an event annotation scheme."""
+    """An immutable, shareable declaration of an event annotation scheme.
+
+    ``attributes_on_events`` says which annotation carries a labeled
+    argument's subtype attribute: the argument's text-bound (False) or the
+    event (True). ``subtype_key`` is the one statement of that rule.
+    """
 
     events: tuple[EventSpec, ...]
     version: str = ""
@@ -104,6 +114,12 @@ class AnnotationSchema:
     def event_types(self) -> tuple[str, ...]:
         return tuple(e.event_type for e in self.events)
 
+    def subtype_key(self, event_id: str, target: str, spec: ArgumentSpec) -> tuple[str, str]:
+        """Where the subtype of a labeled argument (``spec``, filled by text-bound
+        ``target`` on event ``event_id``) lives: the ``(carrier id, attribute
+        name)`` key of ``Document.attribute_index()``."""
+        return (event_id if self.attributes_on_events else target, spec.attribute_name)
+
 
 def canonical_name(name: str) -> str:
     """Strip spaces from display names ("Status Time" -> StatusTime)."""
@@ -120,7 +136,7 @@ def load_schema(config_text: str) -> AnnotationSchema:
     Expected structure::
 
         version: my-scheme-1
-        attributes_on_events: false        # optional
+        attributes_on_events: false        # optional; true or false
         events:
           - type: Drug
             arguments:
@@ -139,18 +155,44 @@ def load_schema(config_text: str) -> AnnotationSchema:
     unknown = set(data) - known_top
     if unknown:
         raise SchemaError(f"unknown config keys: {sorted(unknown)}")
+    attributes_on_events = data.get("attributes_on_events", False)
+    if not isinstance(attributes_on_events, bool):
+        raise SchemaError(
+            f"'attributes_on_events' must be true or false, got {attributes_on_events!r}"
+        )
+    entries = data["events"] or []
+    if not isinstance(entries, list):
+        raise SchemaError(f"'events' must be a list, got {entries!r}")
 
     events = []
-    for entry in data["events"] or []:
+    for entry in entries:
         if not isinstance(entry, dict) or "type" not in entry:
             raise SchemaError(f"event entry needs a 'type': {entry!r}")
+        event = entry["type"]
+        arguments = entry.get("arguments") or []
+        if not isinstance(arguments, list):
+            raise SchemaError(f"'arguments' of event {event} must be a list, got {arguments!r}")
         args = []
-        for arg in entry.get("arguments") or []:
+        for arg in arguments:
+            if not isinstance(arg, dict):
+                raise SchemaError(
+                    f"'arguments' entry in event {event} must be a mapping, got {arg!r}"
+                )
             known = {"type", "role", "kind", "subtypes", "required", "attribute"}
             unknown = set(arg) - known
             if unknown:
+                raise SchemaError(f"unknown argument keys {sorted(unknown)} in event {event}")
+            subtypes = arg.get("subtypes") or []
+            if not isinstance(subtypes, list) or not all(isinstance(s, str) for s in subtypes):
                 raise SchemaError(
-                    f"unknown argument keys {sorted(unknown)} in event {entry['type']}"
+                    f"'subtypes' of argument {arg.get('type')} in event {event} must be a "
+                    f"list of strings, got {subtypes!r}"
+                )
+            required = arg.get("required", False)
+            if not isinstance(required, bool):
+                raise SchemaError(
+                    f"'required' of argument {arg.get('type')} in event {event} must be "
+                    f"true or false, got {required!r}"
                 )
             try:
                 args.append(
@@ -158,19 +200,19 @@ def load_schema(config_text: str) -> AnnotationSchema:
                         argument_type=canonical_name(str(arg["type"])),
                         role=canonical_name(str(arg.get("role", arg["type"]))),
                         kind=str(arg.get("kind", SPAN_ONLY)),
-                        subtypes=tuple(str(s) for s in arg.get("subtypes") or ()),
-                        required=bool(arg.get("required", False)),
+                        subtypes=tuple(subtypes),
+                        required=required,
                         attribute_name=arg.get("attribute"),
                     )
                 )
             except KeyError as exc:
-                raise SchemaError(f"argument entry missing {exc} in event {entry['type']}") from None
-        events.append(EventSpec(event_type=canonical_name(str(entry["type"])), arguments=tuple(args)))
+                raise SchemaError(f"argument entry missing {exc} in event {event}") from None
+        events.append(EventSpec(event_type=canonical_name(str(event)), arguments=tuple(args)))
 
     return AnnotationSchema(
         events=tuple(events),
         version=str(data.get("version", "")),
-        attributes_on_events=bool(data.get("attributes_on_events", False)),
+        attributes_on_events=attributes_on_events,
     )
 
 
@@ -231,7 +273,7 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
 
         seen_roles: set[str] = set()
         for role, target in event.arguments:
-            arg_spec = spec.by_role(role)
+            arg_spec = spec.roles.get(role)
             if arg_spec is None:
                 report(
                     event.id,
@@ -248,9 +290,9 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
                     f"argument {target} has label {tb.label}, expected {arg_spec.argument_type}",
                 )
             if arg_spec.kind == LABELED:
-                carrier = event.id if schema.attributes_on_events else target
-                sanctioned_attrs.add((carrier, arg_spec.attribute_name))
-                attr = attrs.get((carrier, arg_spec.attribute_name))
+                key = schema.subtype_key(event.id, target, arg_spec)
+                sanctioned_attrs.add(key)
+                attr = attrs.get(key)
                 if attr is None or attr.value is None:
                     report(
                         event.id,

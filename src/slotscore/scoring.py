@@ -9,8 +9,10 @@ phenomenon (event type x argument type x subtype) and micro-averaged.
 
 ``score_document`` tallies a note in one walk: each side's events are
 sorted once and matched by the one alignment core that ``align_events``
-also wraps. Roles resolve through the role table each ``EventSpec`` builds
-once (``_by_role``), so the table lives and dies with its schema.
+also wraps. The schema owns the two rules every labeled-argument score
+rests on: a role resolves through its event type's role table
+(``EventSpec.roles``), and ``AnnotationSchema.subtype_key`` says which
+attribute carries the subtype.
 
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
@@ -277,8 +279,7 @@ def resolve_subtype(
     """The subtype label a labeled argument carries, or the missing
     sentinel when its attribute is absent. ``attrs`` is
     ``doc.attribute_index()``, built once per note by the caller."""
-    carrier = event.id if schema.attributes_on_events else target
-    attr = attrs.get((carrier, spec.attribute_name))
+    attr = attrs.get(schema.subtype_key(event.id, target, spec))
     if attr is None or attr.value is None:
         logger.warning(
             "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
@@ -302,7 +303,7 @@ def _slots(doc: Document, event: EventAnnotation, schema: AnnotationSchema,
     event_spec = schema.event(event_type)
     if event_spec is None:
         return slots
-    roles = event_spec._by_role  # the type's role table, read without a call per role
+    roles = event_spec.roles
     for role, target in event.arguments:
         spec = roles.get(role)
         if spec is None:

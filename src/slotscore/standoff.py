@@ -638,8 +638,16 @@ def load_corpus(
             raise StandoffError(f"annotation file without note text: {stray_ann[0]}")
 
         corpus = Corpus()
+        paths: dict[str, Path] = {}  # doc_id -> the note file that claimed it
         for txt_path in txt_files:
             doc_id = txt_path.stem
+            first = paths.setdefault(doc_id, txt_path)
+            if first is not txt_path:
+                raise StandoffError(
+                    f"duplicate doc_id {doc_id!r}: {first.relative_to(root).as_posix()} "
+                    f"and {txt_path.relative_to(root).as_posix()}",
+                    str(root),
+                )
             rel = txt_path.relative_to(root).with_suffix("").as_posix()
             text = _read_raw(txt_path)
             if _SHARE_NOTE_TEXTS:  # a prediction shares gold's text

@@ -1,11 +1,13 @@
-"""Deterministic synthetic corpora, analytic perturbations, and brute-force
-oracles for property tests and acceptance runs.
+"""Deterministic synthetic corpora and analytic perturbations for property
+tests, acceptance runs and the benchmark.
 
 The generator synthesizes note text event by event so every span indexes a
 real substring, and the output validates cleanly against the schema it was
 built from. The perturber degrades a gold corpus at configured rates and
 returns an edit log from which the expected tp/fn/fp tallies are computable
-without running the scorer, giving scoring tests an independent oracle.
+without running the scorer (``expected_counts``): the one oracle left here,
+because the benchmark derives its expected tallies from it. The other test
+oracles live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -250,8 +252,8 @@ def _emit_event(
     )
     for spec, tb, subtype in pending:
         if spec.kind == LABELED:
-            carrier = event.id if schema.attributes_on_events else tb.id
-            builder.attribute(spec.attribute_name, carrier, subtype)
+            carrier, name = schema.subtype_key(event.id, tb.id, spec)
+            builder.attribute(name, carrier, subtype)
 
 
 def generate_gold(cfg: GeneratorConfig, schema: AnnotationSchema) -> Corpus:
@@ -309,7 +311,9 @@ def _subtype_of(
     schema: AnnotationSchema,
 ) -> str:
     """A labeled argument's subtype by a plain scan of the note's
-    attributes (the last one that matches wins), or the missing sentinel."""
+    attributes (the last one that matches wins), or the missing sentinel.
+    The carrier rule is restated here rather than read from
+    ``AnnotationSchema.subtype_key``, so a wrong rule cannot check itself."""
     carrier = event.id if schema.attributes_on_events else target
     value = None
     for attr in doc.attributes.values():
@@ -332,7 +336,7 @@ def _slot_keys(
     span_only: list[str] = []
     labeled: list[tuple[str, str]] = []
     for role, target in event.arguments:
-        spec = event_spec.by_role(role)
+        spec = event_spec.roles.get(role)
         if spec is None:
             continue
         if spec.kind == SPAN_ONLY:
@@ -482,7 +486,7 @@ def perturb(
                 )
 
             for role, target in event.arguments:
-                spec = event_spec.by_role(role) if event_spec else None
+                spec = event_spec.roles.get(role) if event_spec else None
                 if spec is None:
                     continue
                 if rng.random() < cfg.span_edit:
@@ -513,11 +517,11 @@ def perturb(
                     if current not in spec.subtypes or not alternatives:
                         continue
                     new_subtype = str(alternatives[int(rng.integers(len(alternatives)))])
-                    carrier = event.id if schema.attributes_on_events else target
-                    if not schema.attributes_on_events:
+                    carrier, name = schema.subtype_key(event.id, target, spec)
+                    if carrier == target:  # the text-bound carries the subtype
                         edit_tb(target)
                     for attr_id, attr in attributes.items():
-                        if attr.target == carrier and attr.name == spec.attribute_name:
+                        if attr.target == carrier and attr.name == name:
                             attributes[attr_id] = replace(attr, value=new_subtype)
                             break
                     edits.append(
@@ -585,103 +589,3 @@ def perturb(
             )
         )
     return out, edits
-
-
-# ---------------------------------------------------------------------------
-# Brute-force alignment oracle
-# ---------------------------------------------------------------------------
-
-ORACLE_EVENT_CAP = 12
-
-
-def _triggers_equivalent(gold: tuple, pred: tuple) -> bool:
-    """The paper's trigger rule, apart from the scorer's code. Each side is
-    (event type, fragments): the types are equal and some fragment of one
-    shares at least one character with some fragment of the other."""
-    (g_type, g_fragments), (p_type, p_fragments) = gold, pred
-    return g_type == p_type and any(
-        max(gs, ps) < min(ge, pe) for gs, ge in g_fragments for ps, pe in p_fragments
-    )
-
-
-def oracle_align(
-    gold: Document, pred: Document
-) -> list[tuple[EventAnnotation, EventAnnotation]]:
-    """Maximum-cardinality matching on the trigger-equivalence graph.
-
-    Augmenting-path search per event type; a test-only oracle, capped at
-    12 events per type per note.
-    """
-    by_type: dict[str, tuple[list, list]] = {}
-    for doc, side in ((gold, 0), (pred, 1)):
-        for event in sorted(doc.events.values(), key=lambda e: annotation_sort_key(e.id)):
-            if doc.trigger_of(event) is None:
-                continue
-            by_type.setdefault(event.event_type, ([], []))[side].append(event)
-
-    pairs: list[tuple[EventAnnotation, EventAnnotation]] = []
-    for event_type in sorted(by_type):
-        golds, preds = by_type[event_type]
-        if len(golds) > ORACLE_EVENT_CAP or len(preds) > ORACLE_EVENT_CAP:
-            raise ValueError(
-                f"oracle_align capped at {ORACLE_EVENT_CAP} events per type; "
-                f"{event_type} has {len(golds)} gold / {len(preds)} predicted"
-            )
-        adjacency = [
-            [
-                j
-                for j, p in enumerate(preds)
-                if _triggers_equivalent(
-                    (g.event_type, gold.trigger_of(g).span.fragments),
-                    (p.event_type, pred.trigger_of(p).span.fragments),
-                )
-            ]
-            for g in golds
-        ]
-        match_to_gold = [-1] * len(preds)
-
-        def try_assign(u: int, seen: set[int]) -> bool:
-            for v in adjacency[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                if match_to_gold[v] == -1 or try_assign(match_to_gold[v], seen):
-                    match_to_gold[v] = u
-                    return True
-            return False
-
-        for u in range(len(golds)):
-            try_assign(u, set())
-        pairs.extend(
-            (golds[u], preds[v]) for v, u in enumerate(match_to_gold) if u != -1
-        )
-    return pairs
-
-
-def generate_alignment_case(
-    seed: int,
-    max_events: int = 4,
-    window: int = 40,
-    event_type: str = "Drug",
-) -> tuple[Document, Document]:
-    """A random gold/pred document pair with trigger-only events whose
-    spans may overlap arbitrarily, for stressing the greedy aligner
-    against the oracle. Parameters are tuned so overlap is common but
-    configurations where greedy matching is suboptimal stay rare."""
-    import numpy as np
-
-    rng = np.random.default_rng([seed, 2])
-    text = "x" * window + "\n"
-
-    def build(doc_id: str) -> Document:
-        builder = _DocBuilder(doc_id, DocumentMetadata())
-        builder.raw(text)
-        n = int(rng.integers(0, max_events + 1))
-        for _ in range(n):
-            width = int(rng.integers(3, 11))
-            start = int(rng.integers(0, window - width))
-            tb = builder.text_bound(event_type, ((start, start + width),))
-            builder.event(event_type, tb.id, [])
-        return builder.build()
-
-    return build("gold"), build("pred")

@@ -12,12 +12,18 @@ shared task's scorer (arXiv 2301.05571):
 
 It works with list scans and removals: no slot multiset, no key objects, no
 per-type buckets. It is slow on purpose and meant for small notes.
+
+``oracle_align`` is the maximum-cardinality matching on the same trigger
+rule, against which the greedy aligner's losses are counted on the random
+note pairs of ``generate_alignment_case``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from slotscore.schema import LABELED, AnnotationSchema
-from slotscore.standoff import Document, annotation_sort_key
+from slotscore.standoff import Document, annotation_sort_key, parse_document
 
 MISSING = "<missing>"
 
@@ -121,3 +127,74 @@ def reference_score(gold: Document, pred: Document, schema: AnnotationSchema) ->
         for slot in _slots(pred, p, schema):
             bump(slot[0], 2)
     return {key: tuple(cell) for key, cell in table.items()}
+
+
+# ---------------------------------------------------------------------------
+# Maximum matching
+# ---------------------------------------------------------------------------
+
+ORACLE_EVENT_CAP = 12
+
+
+def oracle_align(gold: Document, pred: Document) -> list:
+    """Maximum-cardinality matching on the trigger-equivalence graph, as a
+    list of (gold, pred) event pairs. Augmenting-path search per event type,
+    capped at 12 events per type per note; events without a resolvable
+    trigger match nothing."""
+    by_type: dict = {}
+    for doc, side in ((gold, 0), (pred, 1)):
+        for event in sorted(doc.events.values(), key=lambda e: annotation_sort_key(e.id)):
+            frags = _trigger_fragments(doc, event)
+            if frags is not None:
+                by_type.setdefault(event.event_type, ([], []))[side].append((event, frags))
+
+    pairs = []
+    for event_type in sorted(by_type):
+        golds, preds = by_type[event_type]
+        if len(golds) > ORACLE_EVENT_CAP or len(preds) > ORACLE_EVENT_CAP:
+            raise ValueError(
+                f"oracle_align capped at {ORACLE_EVENT_CAP} events per type; "
+                f"{event_type} has {len(golds)} gold / {len(preds)} predicted"
+            )
+        adjacency = [
+            [j for j, (_, p_frags) in enumerate(preds) if _share_a_character(g_frags, p_frags)]
+            for _, g_frags in golds
+        ]
+        match_to_gold = [-1] * len(preds)
+
+        def try_assign(u: int, seen: set) -> bool:
+            for v in adjacency[u]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                if match_to_gold[v] == -1 or try_assign(match_to_gold[v], seen):
+                    match_to_gold[v] = u
+                    return True
+            return False
+
+        for u in range(len(golds)):
+            try_assign(u, set())
+        pairs.extend((golds[u][0], preds[v][0]) for v, u in enumerate(match_to_gold) if u != -1)
+    return pairs
+
+
+def generate_alignment_case(
+    seed: int, max_events: int = 4, window: int = 40, event_type: str = "Drug"
+) -> tuple[Document, Document]:
+    """A random gold/pred note pair of trigger-only events whose spans may
+    overlap arbitrarily, for stressing the greedy aligner against the
+    oracle. Overlap is common, but configurations where greedy matching is
+    suboptimal stay rare."""
+    rng = np.random.default_rng([seed, 2])
+    text = "x" * window + "\n"
+
+    def build(doc_id: str) -> Document:
+        lines = []
+        for i in range(1, int(rng.integers(0, max_events + 1)) + 1):
+            width = int(rng.integers(3, 11))
+            start = int(rng.integers(0, window - width))
+            lines.append(f"T{i}\t{event_type} {start} {start + width}\t{'x' * width}\n")
+            lines.append(f"E{i}\t{event_type}:T{i}\n")
+        return parse_document("".join(lines), text, doc_id, strict=True)
+
+    return build("gold"), build("pred")

@@ -9,6 +9,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+from oracles import generate_alignment_case, oracle_align
 from test_analytics import brute_force_density
 
 from slotscore.reports import BOOTSTRAP_COLUMNS, bootstrap_rows, render
@@ -25,13 +26,7 @@ from slotscore.scoring import (
 )
 from slotscore.significance import BootstrapConfig, paired_bootstrap
 from slotscore.standoff import Corpus, Document, parse_document, serialize_document
-from slotscore.testkit import (
-    GeneratorConfig,
-    generate_alignment_case,
-    generate_gold,
-    oracle_align,
-    perturb,
-)
+from slotscore.testkit import GeneratorConfig, generate_gold, perturb
 
 logger = logging.getLogger("acceptance")
 
@@ -374,9 +369,9 @@ def test_criterion_7_density_bucketing(shac):
 
 def test_criterion_8_reference_schema(shac):
     types_ok = shac.event_types() == ("Alcohol", "Drug", "Tobacco", "Employment", "LivingStatus")
-    status_time = shac.event("Drug").by_role("Status")
-    employ = shac.event("Employment").by_role("Status")
-    living = shac.event("LivingStatus").by_role("Type")
+    status_time = shac.event("Drug").roles["Status"]
+    employ = shac.event("Employment").roles["Status"]
+    living = shac.event("LivingStatus").roles["Type"]
     vocab_ok = (
         {"none", "current", "past"} <= set(status_time.subtypes)
         and {"employed", "unemployed", "retired", "on_disability", "student", "homemaker"}

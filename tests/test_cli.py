@@ -412,3 +412,22 @@ def test_stats_and_validate_reports_are_pinned(tmp_path, capsys, written_on_even
             digests[(written_on_events, read_on_events, command)] = digest
     capsys.readouterr()
     assert digests == {k: v for k, v in REPORT_PINS.items() if k[0] == written_on_events}
+
+
+def test_validate_malformed_schema_is_data_error(tmp_path, capsys):
+    schema_file = tmp_path / "bad.yaml"
+    schema_file.write_text("events:\n  - type: Pet\n    arguments:\n      - 5\n", encoding="utf-8")
+    (tmp_path / "corpus").mkdir()
+    assert main(["validate", str(tmp_path / "corpus"), "--schema", str(schema_file)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "slotscore: error: 'arguments' entry in event Pet must be a mapping, got 5\n"
+
+
+def test_stats_duplicate_doc_id_names_both_files(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    for source in ("mimic", "uw"):
+        (root / source).mkdir(parents=True)
+        (root / source / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    assert main(["stats", str(root)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"slotscore: error: {root}: duplicate doc_id 'n1': mimic/n1.txt and uw/n1.txt\n"

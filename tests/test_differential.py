@@ -71,7 +71,7 @@ def _random_note(rng, schema: AnnotationSchema) -> Document:
             else:
                 target = text_bound(role)
             arguments.append((role, target))
-            arg = spec.by_role(role) if spec is not None else None
+            arg = spec.roles.get(role) if spec is not None else None
             if arg is not None and arg.kind == LABELED:
                 carrier, other = (target, event_id)
                 if schema.attributes_on_events:

@@ -23,14 +23,14 @@ def test_shac_event_types(shac):
 
 def test_shac_status_time_vocabulary(shac):
     for event_type in ("Alcohol", "Drug", "Tobacco"):
-        spec = shac.event(event_type).by_role("Status")
+        spec = shac.event(event_type).roles["Status"]
         assert spec.argument_type == "StatusTime"
         assert spec.required
         assert {"none", "current", "past"} <= set(spec.subtypes)
 
 
 def test_shac_status_employ_vocabulary(shac):
-    spec = shac.event("Employment").by_role("Status")
+    spec = shac.event("Employment").roles["Status"]
     assert spec.argument_type == "StatusEmploy"
     assert {"employed", "unemployed", "retired", "on_disability", "student", "homemaker"} <= set(
         spec.subtypes
@@ -38,7 +38,7 @@ def test_shac_status_employ_vocabulary(shac):
 
 
 def test_shac_type_living_vocabulary(shac):
-    spec = shac.event("LivingStatus").by_role("Type")
+    spec = shac.event("LivingStatus").roles["Type"]
     assert spec.argument_type == "TypeLiving"
     assert "homeless" in spec.subtypes
     assert spec.required
@@ -238,3 +238,56 @@ events:
     ann_span = "T1\tX 0 3\txxx\nT2\tA 4 7\taaa\nE1\tX:T1 R:T2\nA1\tA T2 a\n"
     rules = [v.rule for v in validate_document(parse_document(ann_span, text, "n1"), schema)]
     assert RULE_SUBTYPE_MISSING in rules and RULE_ATTRIBUTE in rules
+
+
+_ONE_ARGUMENT = "events:\n  - type: X\n    arguments:\n      - {argument}\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            _ONE_ARGUMENT.format(argument="{type: A, role: R, kind: labeled, subtypes: current}"),
+            "'subtypes' of argument A in event X must be a list of strings, got 'current'",
+        ),
+        (
+            _ONE_ARGUMENT.format(argument="{type: A, role: R, kind: labeled, subtypes: [on, off]}"),
+            "'subtypes' of argument A in event X must be a list of strings, got [True, False]",
+        ),
+        (
+            _ONE_ARGUMENT.format(argument="5"),
+            "'arguments' entry in event X must be a mapping, got 5",
+        ),
+        (
+            "events:\n  - type: X\n    arguments: 5\n",
+            "'arguments' of event X must be a list, got 5",
+        ),
+        (
+            _ONE_ARGUMENT.format(argument='{type: A, role: R, kind: span_only, required: "no"}'),
+            "'required' of argument A in event X must be true or false, got 'no'",
+        ),
+        (
+            'attributes_on_events: "false"\nevents: []\n',
+            "'attributes_on_events' must be true or false, got 'false'",
+        ),
+        ("events: {X: 1}\n", "'events' must be a list, got {'X': 1}"),
+    ],
+    ids=[
+        "scalar-subtypes", "boolean-subtypes", "argument-not-mapping", "arguments-not-list",
+        "quoted-required", "quoted-attributes-on-events", "events-not-list",
+    ],
+)
+def test_load_schema_rejects_malformed_values(config, message):
+    with pytest.raises(SchemaError) as raised:
+        load_schema(config)
+    assert str(raised.value) == message
+
+
+def test_load_schema_takes_yaml_booleans():
+    schema = load_schema(
+        "attributes_on_events: true\nevents:\n  - type: X\n    arguments:\n"
+        "      - {type: A, role: R, kind: span_only, required: false}\n"
+        "      - {type: B, role: S, kind: labeled, required: true, subtypes: [a]}\n"
+    )
+    assert schema.attributes_on_events is True
+    assert [a.required for a in schema.event("X").arguments] == [False, True]

@@ -22,15 +22,9 @@ from slotscore.scoring import (
     score_corpus,
     score_document,
 )
-from slotscore.standoff import Corpus, Document, annotation_sort_key, parse_document
-from slotscore.testkit import (
-    GeneratorConfig,
-    _triggers_equivalent,
-    generate_gold,
-    identity_counts,
-    oracle_align,
-    perturb,
-)
+from oracles import oracle_align, reference_align
+from slotscore.standoff import Corpus, Document, parse_document
+from slotscore.testkit import GeneratorConfig, generate_gold, identity_counts, perturb
 
 
 def _doc(ann, text, doc_id="n1"):
@@ -133,37 +127,6 @@ def test_align_respects_event_type_boundaries():
     assert len(alignment.unmatched_gold) == len(alignment.unmatched_pred) == 1
 
 
-def _greedy_scan(gold, pred):
-    """The greedy rule with no buckets and no early stop: each gold event in
-    document order takes the first still-unmatched pred event that the
-    oracle's trigger rule, not the scorer's, calls equivalent."""
-
-    def order(doc):
-        def key(event):
-            tb = doc.trigger_of(event)
-            if tb is None:
-                return (1, 0, 0, annotation_sort_key(event.id))
-            return (0, tb.span.start, tb.span.end, annotation_sort_key(event.id))
-
-        return sorted(doc.events.values(), key=key)
-
-    matched, taken = [], set()
-    for g in order(gold):
-        if gold.trigger_of(g) is None:
-            continue
-        for p in order(pred):
-            if p.id in taken or pred.trigger_of(p) is None:
-                continue
-            if _triggers_equivalent(
-                (g.event_type, gold.trigger_of(g).span.fragments),
-                (p.event_type, pred.trigger_of(p).span.fragments),
-            ):
-                matched.append((g.id, p.id))
-                taken.add(p.id)
-                break
-    return matched
-
-
 def _random_trigger_doc(rng, doc_id):
     """Up to 8 events of two types on a 30-character note: overlapping,
     discontinuous and trigger-less triggers are all common."""
@@ -187,11 +150,10 @@ def test_bucketed_alignment_equals_plain_greedy_scan():
     for _ in range(400):
         gold, pred = _random_trigger_doc(rng, "n1"), _random_trigger_doc(rng, "n1")
         alignment = align_events(gold, pred)
-        assert [(g.id, p.id) for g, p in alignment.matched] == _greedy_scan(gold, pred)
-        matched_gold = {g.id for g, _ in alignment.matched}
-        matched_pred = {p.id for _, p in alignment.matched}
-        assert {e.id for e in alignment.unmatched_gold} == set(gold.events) - matched_gold
-        assert {e.id for e in alignment.unmatched_pred} == set(pred.events) - matched_pred
+        pairs, gold_left, pred_left = reference_align(gold, pred)
+        assert [(g.id, p.id) for g, p in alignment.matched] == [(g.id, p.id) for g, p in pairs]
+        assert [e.id for e in alignment.unmatched_gold] == [e.id for e in gold_left]
+        assert [e.id for e in alignment.unmatched_pred] == [e.id for e in pred_left]
 
 
 # ---------------------------------------------------------------------------

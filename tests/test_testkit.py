@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import generate_alignment_case, oracle_align
 from slotscore import testkit
 from slotscore.analytics import density_breakdown
 from slotscore.schema import validate_document
@@ -14,9 +15,7 @@ from slotscore.testkit import (
     GeneratorConfig,
     GeneratorError,
     expected_counts,
-    generate_alignment_case,
     generate_gold,
-    oracle_align,
     perturb,
 )
 
