@@ -641,13 +641,13 @@ def load_corpus(
         paths: dict[str, Path] = {}  # doc_id -> the note file that claimed it
         for txt_path in txt_files:
             doc_id = txt_path.stem
-            first = paths.setdefault(doc_id, txt_path)
-            if first is not txt_path:
+            if doc_id in paths:
                 raise StandoffError(
-                    f"duplicate doc_id {doc_id!r}: {first.relative_to(root).as_posix()} "
+                    f"duplicate doc_id {doc_id!r}: {paths[doc_id].relative_to(root).as_posix()} "
                     f"and {txt_path.relative_to(root).as_posix()}",
                     str(root),
                 )
+            paths[doc_id] = txt_path
             rel = txt_path.relative_to(root).with_suffix("").as_posix()
             text = _read_raw(txt_path)
             if _SHARE_NOTE_TEXTS:  # a prediction shares gold's text
