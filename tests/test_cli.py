@@ -3,13 +3,23 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import slotscore
 from slotscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from slotscore.standoff import load_corpus, write_corpus
+from slotscore.schema import load_schema
+from slotscore.standoff import (
+    AttributeAnnotation,
+    Corpus,
+    Span,
+    TextBound,
+    load_corpus,
+    write_corpus,
+)
 from slotscore.testkit import GeneratorConfig, generate_gold, perturb
 
 
@@ -340,10 +350,6 @@ def _planted_corpus(schema):
     (note0000: every attribute on the first event and its arguments
     removed), an unknown role (note0001: a Dose argument) and an unexpected
     attribute (note0002: a StatusTime attribute on a trigger)."""
-    from dataclasses import replace
-
-    from slotscore.standoff import AttributeAnnotation, Corpus, Span, TextBound
-
     gold = generate_gold(GeneratorConfig(seed=21, notes=5), schema)
     out = Corpus()
     for doc in gold:
@@ -386,10 +392,6 @@ REPORT_PINS = {
 
 @pytest.mark.parametrize("written_on_events", [False, True])
 def test_stats_and_validate_reports_are_pinned(tmp_path, capsys, written_on_events):
-    from importlib import resources
-
-    from slotscore.schema import load_schema
-
     shac_text = resources.files("slotscore").joinpath("configs/shac.yaml").read_text(
         encoding="utf-8"
     )
