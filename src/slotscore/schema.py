@@ -194,6 +194,12 @@ def load_schema(config_text: str) -> AnnotationSchema:
                     f"'required' of argument {arg.get('type')} in event {event} must be "
                     f"true or false, got {required!r}"
                 )
+            attribute = arg.get("attribute")
+            if attribute is not None and not isinstance(attribute, str):
+                raise SchemaError(
+                    f"'attribute' of argument {arg.get('type')} in event {event} must be "
+                    f"a string, got {attribute!r}"
+                )
             try:
                 args.append(
                     ArgumentSpec(
@@ -202,7 +208,7 @@ def load_schema(config_text: str) -> AnnotationSchema:
                         kind=str(arg.get("kind", SPAN_ONLY)),
                         subtypes=tuple(subtypes),
                         required=required,
-                        attribute_name=arg.get("attribute"),
+                        attribute_name=attribute,
                     )
                 )
             except KeyError as exc:

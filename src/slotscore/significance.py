@@ -6,7 +6,22 @@ notes with replacement, sums the cached tallies, and records the F1
 difference. The random stream is Philox4x64 keyed by the seed. Repetition i
 starts at counter word 1 = i (every other counter word 0), which is the
 stream of ``Philox(key=seed).advance(i << 64)``. It depends on (seed, i)
-only, so a shorter run is a prefix of a longer one.
+only, so a shorter run is a prefix of a longer one. Its notes are the indices
+``Generator.integers(0, n, size=n)`` draws from that stream.
+
+``_resample_sums`` does not call ``integers`` per repetition. It takes each
+repetition's raw words with one ``random_raw`` call and maps a block of about
+16K draws at once by numpy's rule for n <= 2**32: a word gives two 32-bit
+values, low half first, and value u becomes note ``(u * n) >> 32`` (32-bit
+Lemire). numpy rejects u and reads another value when its leftover
+``(u * n) mod 2**32`` is below ``(2**32 - n) % n``; a repetition with such a
+draw is drawn again by ``integers`` itself, as is every repetition when
+n > 2**32. A guard first draws repetition 0 both ways; if the indices differ,
+as they would under a numpy that draws otherwise, ``integers`` serves every
+repetition. One ``bincount`` of the block, each repetition's indices offset
+by rep * n, gives the note counts, and one product with the per-note totals
+gives the sums: the same integers as before, so the deltas are the same
+bits.
 
 numpy is imported only when a bootstrap runs, so scoring never loads it.
 """
@@ -96,6 +111,85 @@ def _f1_rows(totals: np.ndarray) -> np.ndarray:
         return np.where(both != 0, 2 * precision * recall / both, 0.0)
 
 
+# Draws per block of repetitions: the block's arrays stay well under 1 MB.
+_BLOCK_DRAWS = 1 << 14
+
+
+def _lemire_indices(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The note indices ``Generator.integers(0, n, size=n)`` makes of each row
+    of raw Philox words, and which of those draws numpy rejects.
+
+    Each word holds two 32-bit values, low half first, and value u becomes
+    note ``(u * n) >> 32``. numpy rejects u when its leftover
+    ``(u * n) mod 2**32`` is below ``(2**32 - n) % n``; it then reads one
+    more value, so every later index in that row differs from numpy's."""
+    import numpy as np
+
+    u32 = raw.astype("<u8", copy=False).view("<u4")[:, :n]
+    scaled = np.multiply(u32, np.uint64(n), dtype=np.uint64)
+    rejected = scaled.astype(np.uint32) < (2**32 - n) % n
+    scaled >>= np.uint64(32)
+    return scaled.view(np.int64), rejected
+
+
+def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarray:
+    """Row rep is ``totals`` summed over the notes repetition rep draws, with
+    each note counted as often as it is drawn: one int64 row per repetition."""
+    import numpy as np
+
+    n = len(totals)
+    # One generator serves every repetition. Assigning the fresh state with
+    # counter word 1 = rep also empties its buffered output, so repetition
+    # rep draws exactly the stream of Philox(key=seed).advance(rep << 64).
+    bit_gen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    counter = fresh["state"]["counter"]
+    # A resample's sums are its note counts (how often each note was drawn)
+    # times the per-note totals: exact integers, as a plain sum.
+    sums = np.empty((repetitions, totals.shape[1]), dtype=np.int64)
+
+    def restart(rep: int) -> None:
+        counter[1] = rep
+        bit_gen.state = fresh
+
+    def from_integers(rep: int) -> None:
+        restart(rep)
+        sums[rep] = np.bincount(rng.integers(0, n, size=n), minlength=n) @ totals
+
+    # Guard: repetition 0's indices by both paths, up to its first rejected
+    # draw. If a numpy build draws otherwise, numpy's own path serves all.
+    words = (n + 1) // 2
+    raw_path = n <= 2**32
+    if raw_path:
+        restart(0)
+        expected = rng.integers(0, n, size=n)
+        restart(0)
+        idx, rejected = _lemire_indices(bit_gen.random_raw(words)[None], n)
+        valid = int(rejected[0].argmax()) if rejected.any() else n
+        raw_path = np.array_equal(idx[0, :valid], expected[:valid])
+    if not raw_path:
+        for rep in range(repetitions):
+            from_integers(rep)
+        return sums
+
+    block = max(1, _BLOCK_DRAWS // n)
+    offsets = np.arange(0, block * n, n, dtype=np.int64)[:, None]
+    for first in range(0, repetitions, block):
+        raw = []
+        for rep in range(first, min(first + block, repetitions)):
+            restart(rep)
+            raw.append(bit_gen.random_raw(words))
+        idx, rejected = _lemire_indices(np.concatenate(raw).reshape(len(raw), words), n)
+        idx += offsets[: len(raw)]
+        counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
+        sums[first : first + len(raw)] = counts @ totals
+        if rejected.any():
+            for rep in np.flatnonzero(rejected.any(axis=1)).tolist():
+                from_integers(first + rep)
+    return sums
+
+
 def paired_bootstrap(
     gold: Corpus,
     pred_a: Corpus,
@@ -125,21 +219,7 @@ def paired_bootstrap(
     f1_b = _overall_f1(totals[:, 3:].sum(axis=0))
     observed = f1_a - f1_b
 
-    # One generator serves every repetition. Assigning the fresh state with
-    # counter word 1 = rep also empties its buffered output, so repetition
-    # rep draws exactly the stream of Philox(key=seed).advance(rep << 64).
-    bit_gen = np.random.Philox(key=cfg.seed)
-    rng = np.random.Generator(bit_gen)
-    fresh = bit_gen.state
-    counter = fresh["state"]["counter"]
-    # A repetition's sums are its note counts (how often each note was
-    # drawn) times the per-note totals: exact integers, as a plain sum.
-    sums = np.empty((cfg.repetitions, 6), dtype=np.int64)
-    for rep in range(cfg.repetitions):
-        counter[1] = rep
-        bit_gen.state = fresh
-        idx = rng.integers(0, n, size=n)
-        sums[rep] = np.bincount(idx, minlength=n) @ totals
+    sums = _resample_sums(totals, cfg.seed, cfg.repetitions)
     deltas = _f1_rows(sums[:, :3]) - _f1_rows(sums[:, 3:])
 
     at_most = int(np.count_nonzero(deltas <= 0.0))

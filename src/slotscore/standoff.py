@@ -594,6 +594,10 @@ def _metadata_for(rel_path: str, doc_id: str, rules: list[MetadataRule]) -> Docu
     return DocumentMetadata(source=source, split=split)
 
 
+# Stray .ann files a load_corpus error names before it counts the rest.
+_STRAY_NAMES_LISTED = 3
+
+
 def load_corpus(
     directory: str | Path,
     manifest: str | Path | None = None,
@@ -635,7 +639,15 @@ def load_corpus(
             p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()
         ]
         if stray_ann:
-            raise StandoffError(f"annotation file without note text: {stray_ann[0]}")
+            names = sorted(p.relative_to(root).as_posix() for p in stray_ann)
+            listed = ", ".join(names[:_STRAY_NAMES_LISTED])
+            if len(names) > _STRAY_NAMES_LISTED:
+                listed += f" and {len(names) - _STRAY_NAMES_LISTED} more"
+            raise StandoffError(
+                f"{len(names)} annotation file{'s' if len(names) > 1 else ''} "
+                f"without note text: {listed}",
+                str(root),
+            )
 
         corpus = Corpus()
         paths: dict[str, Path] = {}  # doc_id -> the note file that claimed it

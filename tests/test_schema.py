@@ -271,10 +271,23 @@ _ONE_ARGUMENT = "events:\n  - type: X\n    arguments:\n      - {argument}\n"
             "'attributes_on_events' must be true or false, got 'false'",
         ),
         ("events: {X: 1}\n", "'events' must be a list, got {'X': 1}"),
+        (
+            _ONE_ARGUMENT.format(
+                argument="{type: A, role: R, kind: labeled, subtypes: [a], attribute: 5}"
+            ),
+            "'attribute' of argument A in event X must be a string, got 5",
+        ),
+        (
+            _ONE_ARGUMENT.format(
+                argument="{type: A, role: R, kind: labeled, subtypes: [a], attribute: true}"
+            ),
+            "'attribute' of argument A in event X must be a string, got True",
+        ),
     ],
     ids=[
         "scalar-subtypes", "boolean-subtypes", "argument-not-mapping", "arguments-not-list",
         "quoted-required", "quoted-attributes-on-events", "events-not-list",
+        "integer-attribute", "boolean-attribute",
     ],
 )
 def test_load_schema_rejects_malformed_values(config, message):

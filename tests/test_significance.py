@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from slotscore import significance
 from slotscore.significance import (
     BootstrapConfig,
     BootstrapResult,
     _note_totals,
+    _resample_sums,
     paired_bootstrap,
 )
 from slotscore.standoff import Corpus, Document
@@ -164,6 +167,103 @@ def test_resampler_equals_per_rep_loop(shac, seed):
         expected.append(f1_a - f1_b)
     assert result.deltas == tuple(expected)
     assert 0.0 in result.deltas and any(d > 0.0 for d in result.deltas)
+
+
+def _reference_sums(totals, seed, reps):
+    """The per-repetition loop: ``Generator.integers`` on repetition rep's
+    documented stream, then the drawn notes' counts times ``totals``."""
+    n = len(totals)
+    rows = [
+        np.bincount(_stream(seed, rep).integers(0, n, size=n), minlength=n) @ totals
+        for rep in range(reps)
+    ]
+    return np.asarray(rows, dtype=np.int64).reshape(reps, totals.shape[1])
+
+
+def _totals(n, high=50):
+    return np.random.default_rng(n).integers(0, high, size=(n, 6))
+
+
+@pytest.fixture
+def mapped_blocks(monkeypatch):
+    """Every block the raw path maps, as (indices, rejected repetitions),
+    the guard's block for repetition 0 first."""
+    seen = []
+    lemire = significance._lemire_indices
+
+    def recording(raw, n):
+        idx, rejected = lemire(raw, n)
+        seen.append((idx.copy(), rejected.any(axis=1)))
+        return idx, rejected
+
+    monkeypatch.setattr(significance, "_lemire_indices", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 + 5, 2**128 - 1])
+@pytest.mark.parametrize("n, reps", [
+    (1, 20),        # numpy makes no draw
+    (7, 300),       # odd: half of each repetition's last raw word goes unused
+    (1000, 40),     # blocks of 16 repetitions: two whole blocks, then 8
+])
+def test_resample_sums_equal_per_rep_loop(mapped_blocks, seed, n, reps):
+    block = significance._BLOCK_DRAWS // n
+    if n == 1000:
+        assert reps > 2 * block and reps % block
+    totals = _totals(n)
+    sums = _resample_sums(totals, seed, reps)
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums, _reference_sums(totals, seed, reps))
+    # the guard passed: every block took the raw path
+    assert len(mapped_blocks) == 1 + -(-reps // block)
+
+
+def test_rejected_draws_take_the_integers_path(mapped_blocks):
+    # At n = 100,000 numpy rejects 3 or 4 draws in each of repetitions 1-3 at
+    # seed 3. The raw path's indices are wrong after a rejection, so equal
+    # sums show that those repetitions were drawn again.
+    n, reps, seed = 100_000, 4, 3
+    totals = _totals(n)
+    sums = _resample_sums(totals, seed, reps)
+    expected = _reference_sums(totals, seed, reps)
+    assert np.array_equal(sums, expected)
+
+    # the guard's block, then one block per repetition
+    assert len(mapped_blocks) == 1 + reps
+    assert [bool(rejected[0]) for _, rejected in mapped_blocks[1:]] == [False, True, True, True]
+    for rep in (1, 2, 3):
+        raw_path = np.bincount(mapped_blocks[1 + rep][0][0], minlength=n) @ totals
+        assert not np.array_equal(raw_path, expected[rep])
+
+
+def test_guard_falls_back_when_the_raw_mapping_is_wrong(shac, golden_world, monkeypatch):
+    calls = []
+
+    def shifted(raw, n):
+        calls.append(n)
+        idx, rejected = lemire(raw, n)
+        return (idx + 1) % n, rejected
+
+    lemire = significance._lemire_indices
+    monkeypatch.setattr(significance, "_lemire_indices", shifted)
+    result = _golden_run(shac, golden_world)
+    # only the guard's call: every repetition then takes numpy's own path
+    assert calls == [len(golden_world[0])]
+    assert _deltas_sha256(result.deltas) == GOLDEN["deltas_sha256"]
+
+
+def test_resample_sums_peak_allocation_is_bounded():
+    # The kernel's own allocations peak at the sums plus at most 1 MB for
+    # shac-compare's shape, so the block size cannot creep up unseen.
+    totals = _totals(1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sums = _resample_sums(totals, 1, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= sums.nbytes + 2**20
 
 
 def test_seed_changes_deltas(shac, small_world):

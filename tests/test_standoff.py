@@ -853,6 +853,25 @@ def test_load_corpus_missing_txt_is_error(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_names_every_stray_ann_from_the_root(tmp_path):
+    _write_note(tmp_path, "n1", "cocaine use", "")
+    (tmp_path / "uw").mkdir()
+    (tmp_path / "uw" / "b.ann").write_text("", encoding="utf-8")
+    (tmp_path / "a.ann").write_text("", encoding="utf-8")
+    with pytest.raises(StandoffError) as raised:
+        load_corpus(tmp_path)
+    assert str(raised.value) == (
+        f"{tmp_path}: 2 annotation files without note text: a.ann, uw/b.ann"
+    )
+    for name in ("c", "d", "e"):
+        (tmp_path / f"{name}.ann").write_text("", encoding="utf-8")
+    with pytest.raises(StandoffError) as raised:
+        load_corpus(tmp_path)
+    assert raised.value.message == (
+        "5 annotation files without note text: a.ann, c.ann, d.ann and 2 more"
+    )
+
+
 def test_load_corpus_duplicate_doc_id(tmp_path):
     _write_note(tmp_path / "a", "x", "cocaine use", "")
     _write_note(tmp_path / "b", "x", "cocaine use", "")
