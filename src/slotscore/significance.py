@@ -111,7 +111,7 @@ def _f1_rows(totals: np.ndarray) -> np.ndarray:
         return np.where(both != 0, 2 * precision * recall / both, 0.0)
 
 
-# Draws per block of repetitions: the block's arrays stay well under 1 MB.
+# Draws per block of repetitions: the block's arrays stay under 1 MB.
 _BLOCK_DRAWS = 1 << 14
 
 
@@ -213,7 +213,6 @@ def paired_bootstrap(
 
     # One row per gold note: system A's (tp, fn, fp), then system B's.
     totals = np.hstack([_note_totals(gold, pred_a, schema), _note_totals(gold, pred_b, schema)])
-    n = len(gold)
 
     f1_a = _overall_f1(totals[:, :3].sum(axis=0))
     f1_b = _overall_f1(totals[:, 3:].sum(axis=0))

@@ -180,8 +180,8 @@ def _reference_sums(totals, seed, reps):
     return np.asarray(rows, dtype=np.int64).reshape(reps, totals.shape[1])
 
 
-def _totals(n, high=50):
-    return np.random.default_rng(n).integers(0, high, size=(n, 6))
+def _totals(n):
+    return np.random.default_rng(n).integers(0, 50, size=(n, 6))
 
 
 @pytest.fixture
