@@ -16,14 +16,29 @@ per-type buckets. It is slow on purpose and meant for small notes.
 ``oracle_align`` is the maximum-cardinality matching on the same trigger
 rule, against which the greedy aligner's losses are counted on the random
 note pairs of ``generate_alignment_case``.
+
+``reference_load_corpus`` finds a corpus's notes with pathlib, as
+``load_corpus`` first did: two ``rglob`` walks, ``Path`` sorting and an
+``exists()`` per file. ``load_corpus`` must give the same documents, in the
+same order, and the same errors.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from slotscore.schema import LABELED, AnnotationSchema
-from slotscore.standoff import Document, annotation_sort_key, parse_document
+from slotscore.standoff import (
+    Corpus,
+    Document,
+    StandoffError,
+    _metadata_for,
+    annotation_sort_key,
+    parse_document,
+    parse_manifest,
+)
 
 MISSING = "<missing>"
 
@@ -198,3 +213,71 @@ def generate_alignment_case(
         return parse_document("".join(lines), text, doc_id, strict=True)
 
     return build("gold"), build("pred")
+
+
+# ---------------------------------------------------------------------------
+# Note discovery
+# ---------------------------------------------------------------------------
+
+def reference_note_files(root: Path) -> tuple[list[Path], list[Path]]:
+    """Every ``*.txt`` below ``root`` in ``Path`` order, and every ``*.ann``
+    whose ``.txt`` does not exist, as ``Path.rglob`` finds them on Python
+    3.11: names matched case-sensitively, directories named ``*.txt``
+    included, symlinked directories not descended, unreadable ones skipped."""
+    txt_files = sorted(root.rglob("*.txt"))
+    stray_ann = [p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()]
+    return txt_files, stray_ann
+
+
+def _read_text(path: Path) -> str:
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StandoffError(f"cannot read {path}: {exc}") from exc
+
+
+def reference_load_corpus(directory, manifest=None, strict: bool = False) -> Corpus:
+    """``load_corpus`` on ``reference_note_files``, reading in text mode,
+    without the collector pause or interning."""
+    root = Path(directory)
+    if not root.is_dir():
+        raise StandoffError(f"corpus directory not found: {root}")
+    rules = []
+    if manifest:
+        try:
+            rules = parse_manifest(_read_text(Path(manifest)))
+        except StandoffError as exc:
+            raise StandoffError(exc.message, str(manifest)) from None
+    txt_files, stray_ann = reference_note_files(root)
+    if stray_ann:
+        names = sorted(p.relative_to(root).as_posix() for p in stray_ann)
+        listed = ", ".join(names[:3]) + (f" and {len(names) - 3} more" if len(names) > 3 else "")
+        raise StandoffError(
+            f"{len(names)} annotation file{'s' if len(names) > 1 else ''} "
+            f"without note text: {listed}",
+            str(root),
+        )
+    corpus = Corpus()
+    paths: dict[str, Path] = {}
+    for txt_path in txt_files:
+        doc_id = txt_path.stem
+        if doc_id in paths:
+            raise StandoffError(
+                f"duplicate doc_id {doc_id!r}: {paths[doc_id].relative_to(root).as_posix()} "
+                f"and {txt_path.relative_to(root).as_posix()}",
+                str(root),
+            )
+        paths[doc_id] = txt_path
+        rel = txt_path.relative_to(root).with_suffix("").as_posix()
+        text = _read_text(txt_path)
+        metadata = _metadata_for(rel, doc_id, rules)
+        ann_path = txt_path.with_suffix(".ann")
+        if ann_path.exists():
+            doc = parse_document(
+                _read_text(ann_path), text, doc_id=doc_id, strict=strict, metadata=metadata
+            )
+        else:
+            doc = Document(doc_id, text, metadata=metadata)
+        corpus.add(doc)
+    return corpus
