@@ -65,13 +65,15 @@ class EventSpec:
 
     ``roles`` maps each role to its ``ArgumentSpec``, so an event line's
     ``role:target`` pair resolves with ``roles.get(role)`` (None for an
-    undeclared role). It is built once from ``arguments`` and, like a
-    ``Document``'s dicts, is read-only by convention.
+    undeclared role). It is built once from ``arguments``, as is the tuple
+    ``required_arguments()`` returns, and, like a ``Document``'s dicts, is
+    read-only by convention.
     """
 
     event_type: str
     arguments: tuple[ArgumentSpec, ...] = ()
     roles: dict[str, ArgumentSpec] = field(init=False, repr=False, compare=False)
+    _required: tuple[ArgumentSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arguments", tuple(self.arguments))
@@ -82,9 +84,10 @@ class EventSpec:
         if len(set(arg_types)) != len(arg_types):
             raise SchemaError(f"duplicate argument types in event type {self.event_type}")
         object.__setattr__(self, "roles", {a.role: a for a in self.arguments})
+        object.__setattr__(self, "_required", tuple(a for a in self.arguments if a.required))
 
     def required_arguments(self) -> tuple[ArgumentSpec, ...]:
-        return tuple(a for a in self.arguments if a.required)
+        return self._required
 
 
 @dataclass(frozen=True)

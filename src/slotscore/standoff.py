@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gc
 import logging
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -260,13 +261,15 @@ def _lines(text: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def _read_raw(path: Path) -> str:
+def _read_raw(path: str | Path) -> str:
     """File text with line endings untouched: BRAT offsets count every code
-    point of the file, CR included. A file that cannot be read or decoded
-    raises a StandoffError naming it."""
+    point of the file, CR included, and a leading U+FEFF. The bytes are read
+    unbuffered and decoded in one piece, so a decode error gives its position
+    in the file. A file that cannot be read or decoded raises a StandoffError
+    naming it."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            return f.read()
+        with open(path, "rb", buffering=0) as f:
+            return f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise StandoffError(f"cannot read {path}: {exc}") from exc
 
@@ -582,20 +585,72 @@ def parse_manifest(text: str) -> list[MetadataRule]:
     return rules
 
 
+# One frozen record per valid (source, split), shared by every note that has it.
+_shared_metadata = lru_cache(maxsize=len(SOURCES) * len(SPLITS))(DocumentMetadata)
+
+
 def _metadata_for(rel_path: str, doc_id: str, rules: list[MetadataRule]) -> DocumentMetadata:
     for rule in rules:
         if doc_id == rule.pattern or rel_path.startswith(rule.pattern):
-            return DocumentMetadata(source=rule.source, split=rule.split)
+            return _shared_metadata(rule.source, rule.split)
     # Fall back to directory-name conventions: any path component naming a
     # source or split assigns it.
     parts = rel_path.split("/")[:-1]
     source = next((p for p in parts if p in SOURCES), "other")
     split = next((p for p in parts if p in SPLITS), "unknown")
-    return DocumentMetadata(source=source, split=split)
+    return _shared_metadata(source, split)
 
 
 # Stray .ann files a load_corpus error names before it counts the rest.
 _STRAY_NAMES_LISTED = 3
+
+
+def _note_files(root: str) -> tuple[list[str], set[str], set[str]]:
+    """The ``.txt`` and ``.ann`` files below ``root`` in one walk:
+    ``(notes, annotations, dangling)``, each a name relative to ``root``
+    with ``/`` between its parts.
+
+    A name counts when it ends in ``.txt`` or ``.ann``, matched
+    case-sensitively, whatever the entry is: a directory named ``x.txt``
+    counts and is also descended. Symlinked directories are not descended,
+    and a directory that cannot be listed is skipped. ``dangling`` holds the
+    counted symlinks whose target does not exist; only symlinks are stat'ed.
+    ``notes`` is in the order of the names' parts, so ``a/b.txt`` comes
+    before ``a-c.txt``.
+    """
+    notes: list[str] = []
+    annotations: set[str] = set()
+    dangling: set[str] = set()
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        try:
+            with os.scandir(os.path.join(root, prefix)) as it:
+                entries = list(it)
+        except PermissionError:
+            continue
+        for entry in entries:
+            rel = prefix + entry.name
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(rel + "/")
+            if rel.endswith(".txt"):
+                notes.append(rel)
+            elif rel.endswith(".ann"):
+                annotations.add(rel)
+            else:
+                continue
+            if entry.is_symlink() and not os.path.exists(entry.path):
+                dangling.add(rel)
+    notes.sort(key=lambda rel: rel.split("/"))
+    return notes, annotations, dangling
+
+
+def _stem(rel: str, suffix: str) -> str:
+    """``rel`` without ``suffix``, except for a file named only ``suffix``,
+    which keeps its whole name (as ``Path.stem`` does)."""
+    if rel == suffix or rel.endswith("/" + suffix):
+        return rel
+    return rel[: -len(suffix)]
 
 
 def load_corpus(
@@ -605,11 +660,22 @@ def load_corpus(
 ) -> Corpus:
     """Load every ``<id>.txt`` / ``<id>.ann`` pair under ``directory``.
 
-    A missing ``.ann`` yields a document with no annotations (a system may
-    predict nothing for a note); a ``.ann`` without its ``.txt`` is an
-    error. Metadata comes from manifest rules when given, else from
-    directory-name conventions (path components named mimic/uw or
-    train/dev/test).
+    Every entry below ``directory`` whose name ends in ``.txt`` is a note
+    (a directory named ``x.txt`` is one that cannot be read), and its name
+    without ``.txt`` is its doc_id; a file named only ``.txt`` keeps its
+    whole name. Names are matched case-sensitively, so ``x.TXT`` is not a
+    note. Subdirectories are searched, but not through symlinks, and one
+    that cannot be listed is skipped; a symlinked note or ``.ann`` file is
+    read through its link. Notes are loaded in the order of their path
+    parts relative to ``directory`` (``a/b.txt`` before ``a-c.txt``), and
+    two notes with one doc_id are an error naming both.
+
+    A missing ``.ann`` (or one whose symlink target is missing) yields a
+    document with no annotations: a system may predict nothing for a note.
+    An ``.ann`` whose ``.txt`` does not exist is an error. Metadata comes
+    from manifest rules when given, else from directory-name conventions
+    (path components named mimic/uw or train/dev/test); notes with equal
+    metadata share one ``DocumentMetadata``.
 
     Note texts are interned like the parsed ids and vocabulary (see the
     module docstring), except on CPython 3.12, which never frees an
@@ -619,7 +685,12 @@ def load_corpus(
     """
     root = Path(directory)
     if not root.is_dir():
+        if root.exists():
+            raise StandoffError(f"not a directory: {root}")
         raise StandoffError(f"corpus directory not found: {root}")
+    root_name = str(root)
+    # Paths in error messages read as pathlib joins them: "./x" is "x".
+    root_prefix = "" if root_name == "." else os.path.join(root_name, "")
     # A load builds hundreds of thousands of records that form no cycles.
     # Full collections while it runs walk the growing heap and free nothing,
     # so the collector is paused and left as it was found.
@@ -634,42 +705,37 @@ def load_corpus(
             except StandoffError as exc:
                 raise StandoffError(exc.message, str(manifest)) from None
 
-        txt_files = sorted(root.rglob("*.txt"))
-        stray_ann = [
-            p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()
-        ]
-        if stray_ann:
-            names = sorted(p.relative_to(root).as_posix() for p in stray_ann)
-            listed = ", ".join(names[:_STRAY_NAMES_LISTED])
-            if len(names) > _STRAY_NAMES_LISTED:
-                listed += f" and {len(names) - _STRAY_NAMES_LISTED} more"
+        notes, annotations, dangling = _note_files(root_name)
+        present = set(notes) - dangling
+        stray = sorted(a for a in annotations if _stem(a, ".ann") + ".txt" not in present)
+        if stray:
+            listed = ", ".join(stray[:_STRAY_NAMES_LISTED])
+            if len(stray) > _STRAY_NAMES_LISTED:
+                listed += f" and {len(stray) - _STRAY_NAMES_LISTED} more"
             raise StandoffError(
-                f"{len(names)} annotation file{'s' if len(names) > 1 else ''} "
+                f"{len(stray)} annotation file{'s' if len(stray) > 1 else ''} "
                 f"without note text: {listed}",
-                str(root),
+                root_name,
             )
 
         corpus = Corpus()
-        paths: dict[str, Path] = {}  # doc_id -> the note file that claimed it
-        for txt_path in txt_files:
-            doc_id = txt_path.stem
-            if doc_id in paths:
+        claimed: dict[str, str] = {}  # doc_id -> the note file that claimed it
+        for txt in notes:
+            rel = _stem(txt, ".txt")
+            doc_id = rel.rpartition("/")[2]
+            if doc_id in claimed:
                 raise StandoffError(
-                    f"duplicate doc_id {doc_id!r}: {paths[doc_id].relative_to(root).as_posix()} "
-                    f"and {txt_path.relative_to(root).as_posix()}",
-                    str(root),
+                    f"duplicate doc_id {doc_id!r}: {claimed[doc_id]} and {txt}", root_name
                 )
-            paths[doc_id] = txt_path
-            rel = txt_path.relative_to(root).with_suffix("").as_posix()
-            text = _read_raw(txt_path)
+            claimed[doc_id] = txt
+            text = _read_raw(root_prefix + txt)
             if _SHARE_NOTE_TEXTS:  # a prediction shares gold's text
                 text = intern(text)
             metadata = _metadata_for(rel, doc_id, rules)
-            ann_path = txt_path.with_suffix(".ann")
-            if ann_path.exists():
-                doc = parse_document(
-                    _read_raw(ann_path), text, doc_id=doc_id, strict=strict, metadata=metadata
-                )
+            ann = rel + ".ann"
+            if ann in annotations and ann not in dangling:
+                ann_text = _read_raw(root_prefix + ann)
+                doc = parse_document(ann_text, text, doc_id=doc_id, strict=strict, metadata=metadata)
             else:
                 doc = Document(doc_id, text, metadata=metadata)
             corpus.add(doc)

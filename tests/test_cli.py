@@ -242,6 +242,15 @@ def test_stats_manifest_bom_is_dropped(tmp_path, capsys):
     assert "notes\tuw\ttrain\t\t\t\t1\t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["score", "stats", "validate"])
+def test_file_given_as_corpus_is_data_error(tmp_path, capsys, command):
+    note = tmp_path / "n1.txt"
+    note.write_text("cocaine use", encoding="utf-8")
+    argv = [command, str(note)] + ([str(tmp_path)] if command == "score" else [])
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"slotscore: error: <input>: not a directory: {note}\n"
+
+
 def test_stats_undecodable_manifest_is_named(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

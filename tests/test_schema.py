@@ -50,6 +50,14 @@ def test_shac_one_role_per_argument_type(shac):
         assert len(roles) == len(set(roles))
 
 
+def test_required_arguments_are_built_once(shac):
+    for event in shac.events:
+        required = event.required_arguments()
+        assert required == tuple(a for a in event.arguments if a.required)
+        assert event.required_arguments() is required
+    assert [a.role for a in shac.event("Tobacco").required_arguments()] == ["Status"]
+
+
 def test_canonical_name_strips_spaces():
     assert canonical_name("Status Time") == "StatusTime"
 

@@ -847,6 +847,22 @@ def test_loading_shares_repeated_strings(tmp_path, shac):
     assert len(gold) == 4 and all("E1" in doc.events for doc in gold)
 
 
+def test_loading_shares_metadata_per_source_and_split(tmp_path):
+    for directory in ("uw/train", "uw/train/deep", "uw/dev", "notes", "other"):
+        for k in range(2):
+            _write_note(tmp_path / directory, f"{directory.replace('/', '-')}-{k}", "cocaine use")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("notes\tmimic\ttest\n", encoding="utf-8")
+    corpus = load_corpus(tmp_path, manifest=manifest)
+    shared = {}
+    for doc in corpus:
+        assert shared.setdefault(doc.metadata, doc.metadata) is doc.metadata
+    assert sorted((m.source, m.split) for m in shared) == [
+        ("mimic", "test"), ("other", "unknown"), ("uw", "dev"), ("uw", "train"),
+    ]
+    assert len(corpus) == 10
+
+
 def test_load_corpus_missing_txt_is_error(tmp_path):
     (tmp_path / "x.ann").write_text("", encoding="utf-8")
     with pytest.raises(StandoffError, match="without note text"):
@@ -877,6 +893,17 @@ def test_load_corpus_duplicate_doc_id(tmp_path):
     _write_note(tmp_path / "b", "x", "cocaine use", "")
     with pytest.raises(StandoffError, match="duplicate doc_id"):
         load_corpus(tmp_path)
+
+
+def test_load_corpus_names_a_file_given_as_directory(tmp_path):
+    note = tmp_path / "n1.txt"
+    note.write_text("cocaine use", encoding="utf-8")
+    with pytest.raises(StandoffError) as raised:
+        load_corpus(note)
+    assert str(raised.value) == f"<input>: not a directory: {note}"
+    with pytest.raises(StandoffError) as raised:
+        load_corpus(tmp_path / "missing")
+    assert str(raised.value) == f"<input>: corpus directory not found: {tmp_path / 'missing'}"
 
 
 def test_load_corpus_directory_name_metadata(tmp_path):
