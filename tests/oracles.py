@@ -17,10 +17,10 @@ per-type buckets. It is slow on purpose and meant for small notes.
 rule, against which the greedy aligner's losses are counted on the random
 note pairs of ``generate_alignment_case``.
 
-``reference_load_corpus`` finds a corpus's notes with pathlib, as
-``load_corpus`` first did: two ``rglob`` walks, ``Path`` sorting and an
-``exists()`` per file. ``load_corpus`` must give the same documents, in the
-same order, and the same errors.
+``reference_load_corpus`` finds a corpus's notes with pathlib: two
+``rglob`` walks, ``Path`` sorting and an ``exists()`` per file.
+``load_corpus``, which walks the directory once, must give the same
+documents, in the same order, and the same errors.
 """
 
 from __future__ import annotations
