@@ -33,6 +33,7 @@ from .standoff import (
     Corpus,
     Document,
     EventAnnotation,
+    _summary,
     annotation_sort_key,
 )
 
@@ -377,7 +378,7 @@ def per_document_counts(
     """
     extra = set(pred.documents) - set(gold.documents)
     if extra:
-        raise ScoringError(f"predicted notes with no gold counterpart: {sorted(extra)}")
+        raise ScoringError(_summary(extra, "predicted note", "with no gold counterpart"))
     out: dict[str, ScoreCounts] = {}
     for doc_id in gold.doc_ids():
         gold_doc = gold[doc_id]

@@ -191,11 +191,6 @@ class Document:
     attributes: dict[str, AttributeAnnotation] = field(default_factory=dict)
     metadata: DocumentMetadata = field(default_factory=DocumentMetadata)
 
-    def trigger_of(self, event: EventAnnotation) -> TextBound | None:
-        if event.trigger is None:
-            return None
-        return self.text_bounds.get(event.trigger)
-
     def attribute_index(self) -> dict[tuple[str, str], AttributeAnnotation]:
         """Every attribute keyed by (target id, attribute name). Built anew on
         each call; a caller that looks up many attributes builds it once."""
@@ -601,56 +596,42 @@ def _metadata_for(rel_path: str, doc_id: str, rules: list[MetadataRule]) -> Docu
     return _shared_metadata(source, split)
 
 
-# Stray .ann files a load_corpus error names before it counts the rest.
-_STRAY_NAMES_LISTED = 3
+# Names an error lists before it counts the rest.
+_NAMES_LISTED = 3
 
 
-def _note_files(root: str) -> tuple[list[str], set[str], set[str]]:
-    """The ``.txt`` and ``.ann`` files below ``root`` in one walk:
-    ``(notes, annotations, dangling)``, each a name relative to ``root``
-    with ``/`` between its parts.
+def _summary(names: list[str] | set[str], noun: str, qualifier: str) -> str:
+    """One line for an error about many names: ``"5 <noun>s <qualifier>: a,
+    b, c and 2 more"``, listing the first names in sorted order."""
+    names = sorted(names)
+    listed = ", ".join(names[:_NAMES_LISTED])
+    if len(names) > _NAMES_LISTED:
+        listed += f" and {len(names) - _NAMES_LISTED} more"
+    return f"{len(names)} {noun}{'s' if len(names) > 1 else ''} {qualifier}: {listed}"
 
-    A name counts when it ends in ``.txt`` or ``.ann``, matched
-    case-sensitively, whatever the entry is: a directory named ``x.txt``
-    counts and is also descended. Symlinked directories are not descended,
-    and a directory that cannot be listed is skipped. ``dangling`` holds the
-    counted symlinks whose target does not exist; only symlinks are stat'ed.
+
+def _note_files(root: str) -> tuple[list[str], set[str]]:
+    """The files below ``root`` named ``<id>.txt`` and ``<id>.ann`` with a
+    non-empty ``<id>``: ``(notes, annotations)``, each a name relative to
+    ``root`` with ``/`` between its parts. ``os.walk`` lists a directory, or
+    a symlink to one, among the directories, so it is never a note; it does
+    not descend a symlinked directory and skips one it cannot list.
     ``notes`` is in the order of the names' parts, so ``a/b.txt`` comes
     before ``a-c.txt``.
     """
     notes: list[str] = []
     annotations: set[str] = set()
-    dangling: set[str] = set()
-    pending = [""]
-    while pending:
-        prefix = pending.pop()
-        try:
-            with os.scandir(os.path.join(root, prefix)) as it:
-                entries = list(it)
-        except PermissionError:
-            continue
-        for entry in entries:
-            rel = prefix + entry.name
-            if entry.is_dir(follow_symlinks=False):
-                pending.append(rel + "/")
-            if rel.endswith(".txt"):
-                notes.append(rel)
-            elif rel.endswith(".ann"):
-                annotations.add(rel)
-            else:
-                continue
-            if entry.is_symlink() and not os.path.exists(entry.path):
-                dangling.add(rel)
+    for dirpath, _, filenames in os.walk(root):
+        prefix = dirpath[len(root):].lstrip(os.sep)
+        prefix = prefix + "/" if prefix else ""
+        for name in filenames:
+            if len(name) > 4:  # a name that is only the suffix has no <id>
+                if name.endswith(".txt"):
+                    notes.append(prefix + name)
+                elif name.endswith(".ann"):
+                    annotations.add(prefix + name)
     notes.sort(key=lambda rel: rel.split("/"))
-    return notes, annotations, dangling
-
-
-def _stem(rel: str, suffix: str) -> str:
-    """``rel`` without ``suffix``, except for a file named only ``suffix``,
-    which keeps its whole name (as ``Path.stem`` does)."""
-    if rel == suffix or rel.endswith("/" + suffix):
-        return rel
-    return rel[: -len(suffix)]
+    return notes, annotations
 
 
 def load_corpus(
@@ -660,22 +641,20 @@ def load_corpus(
 ) -> Corpus:
     """Load every ``<id>.txt`` / ``<id>.ann`` pair under ``directory``.
 
-    Every entry below ``directory`` whose name ends in ``.txt`` is a note
-    (a directory named ``x.txt`` is one that cannot be read), and its name
-    without ``.txt`` is its doc_id; a file named only ``.txt`` keeps its
-    whole name. Names are matched case-sensitively, so ``x.TXT`` is not a
-    note. Subdirectories are searched, but not through symlinks, and one
-    that cannot be listed is skipped; a symlinked note or ``.ann`` file is
-    read through its link. Notes are loaded in the order of their path
-    parts relative to ``directory`` (``a/b.txt`` before ``a-c.txt``), and
-    two notes with one doc_id are an error naming both.
+    A file named ``<id>.txt`` below ``directory`` is a note, and ``<id>``,
+    which must not be empty, is its doc_id; ``<id>.ann`` beside it holds
+    its annotations. Suffixes are matched case-sensitively, and a directory
+    is never a note. Subdirectories are searched, but not through symlinks,
+    and one that cannot be listed is skipped. Notes are loaded in the order
+    of their path parts relative to ``directory`` (``a/b.txt`` before
+    ``a-c.txt``). Two notes with one doc_id, an ``.ann`` without its
+    ``.txt``, and a listed file that cannot be read, such as a dangling
+    symlink, are errors that name the files. A note without an ``.ann`` has
+    no annotations: a system may predict nothing for a note.
 
-    A missing ``.ann`` (or one whose symlink target is missing) yields a
-    document with no annotations: a system may predict nothing for a note.
-    An ``.ann`` whose ``.txt`` does not exist is an error. Metadata comes
-    from manifest rules when given, else from directory-name conventions
-    (path components named mimic/uw or train/dev/test); notes with equal
-    metadata share one ``DocumentMetadata``.
+    Metadata comes from manifest rules when given, else from directory-name
+    conventions (path components named mimic/uw or train/dev/test); notes
+    with equal metadata share one ``DocumentMetadata``.
 
     Note texts are interned like the parsed ids and vocabulary (see the
     module docstring), except on CPython 3.12, which never frees an
@@ -705,23 +684,16 @@ def load_corpus(
             except StandoffError as exc:
                 raise StandoffError(exc.message, str(manifest)) from None
 
-        notes, annotations, dangling = _note_files(root_name)
-        present = set(notes) - dangling
-        stray = sorted(a for a in annotations if _stem(a, ".ann") + ".txt" not in present)
+        notes, annotations = _note_files(root_name)
+        present = set(notes)
+        stray = [ann for ann in annotations if ann[:-4] + ".txt" not in present]
         if stray:
-            listed = ", ".join(stray[:_STRAY_NAMES_LISTED])
-            if len(stray) > _STRAY_NAMES_LISTED:
-                listed += f" and {len(stray) - _STRAY_NAMES_LISTED} more"
-            raise StandoffError(
-                f"{len(stray)} annotation file{'s' if len(stray) > 1 else ''} "
-                f"without note text: {listed}",
-                root_name,
-            )
+            raise StandoffError(_summary(stray, "annotation file", "without note text"), root_name)
 
         corpus = Corpus()
         claimed: dict[str, str] = {}  # doc_id -> the note file that claimed it
         for txt in notes:
-            rel = _stem(txt, ".txt")
+            rel = txt[:-4]
             doc_id = rel.rpartition("/")[2]
             if doc_id in claimed:
                 raise StandoffError(
@@ -733,7 +705,7 @@ def load_corpus(
                 text = intern(text)
             metadata = _metadata_for(rel, doc_id, rules)
             ann = rel + ".ann"
-            if ann in annotations and ann not in dangling:
+            if ann in annotations:
                 ann_text = _read_raw(root_prefix + ann)
                 doc = parse_document(ann_text, text, doc_id=doc_id, strict=strict, metadata=metadata)
             else:

@@ -18,9 +18,9 @@ rule, against which the greedy aligner's losses are counted on the random
 note pairs of ``generate_alignment_case``.
 
 ``reference_load_corpus`` finds a corpus's notes with pathlib: two
-``rglob`` walks, ``Path`` sorting and an ``exists()`` per file.
-``load_corpus``, which walks the directory once, must give the same
-documents, in the same order, and the same errors.
+``rglob`` walks, an ``is_dir()`` per name found and ``Path`` sorting.
+``load_corpus``, which walks the directory once with ``os.walk``, must give
+the same documents, in the same order, and the same errors.
 """
 
 from __future__ import annotations
@@ -219,14 +219,17 @@ def generate_alignment_case(
 # Note discovery
 # ---------------------------------------------------------------------------
 
-def reference_note_files(root: Path) -> tuple[list[Path], list[Path]]:
-    """Every ``*.txt`` below ``root`` in ``Path`` order, and every ``*.ann``
-    whose ``.txt`` does not exist, as ``Path.rglob`` finds them on Python
-    3.11: names matched case-sensitively, directories named ``*.txt``
-    included, symlinked directories not descended, unreadable ones skipped."""
-    txt_files = sorted(root.rglob("*.txt"))
-    stray_ann = [p for p in sorted(root.rglob("*.ann")) if not p.with_suffix(".txt").exists()]
-    return txt_files, stray_ann
+def reference_note_files(root: Path) -> tuple[list[Path], set[Path]]:
+    """Every ``<id>.txt`` below ``root`` in ``Path`` order, and the set of
+    every ``<id>.ann``, as ``Path.rglob`` finds them: names matched
+    case-sensitively, symlinked directories not descended, unreadable ones
+    skipped. A name that is only the suffix, and a directory or a symlink
+    to one, are dropped."""
+
+    def files(suffix: str) -> list[Path]:
+        return [p for p in root.rglob("*" + suffix) if p.name != suffix and not p.is_dir()]
+
+    return sorted(files(".txt")), set(files(".ann"))
 
 
 def _read_text(path: Path) -> str:
@@ -249,7 +252,8 @@ def reference_load_corpus(directory, manifest=None, strict: bool = False) -> Cor
             rules = parse_manifest(_read_text(Path(manifest)))
         except StandoffError as exc:
             raise StandoffError(exc.message, str(manifest)) from None
-    txt_files, stray_ann = reference_note_files(root)
+    txt_files, ann_files = reference_note_files(root)
+    stray_ann = ann_files - {p.with_suffix(".ann") for p in txt_files}
     if stray_ann:
         names = sorted(p.relative_to(root).as_posix() for p in stray_ann)
         listed = ", ".join(names[:3]) + (f" and {len(names) - 3} more" if len(names) > 3 else "")
@@ -273,7 +277,7 @@ def reference_load_corpus(directory, manifest=None, strict: bool = False) -> Cor
         text = _read_text(txt_path)
         metadata = _metadata_for(rel, doc_id, rules)
         ann_path = txt_path.with_suffix(".ann")
-        if ann_path.exists():
+        if ann_path in ann_files:
             doc = parse_document(
                 _read_text(ann_path), text, doc_id=doc_id, strict=strict, metadata=metadata
             )

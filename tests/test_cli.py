@@ -434,6 +434,39 @@ def test_validate_malformed_schema_is_data_error(tmp_path, capsys):
     assert err == "slotscore: error: 'arguments' entry in event Pet must be a mapping, got 5\n"
 
 
+def test_dangling_gold_ann_is_data_error(tmp_path, capsys):
+    # Scoring the note as one with no gold events would count the predicted
+    # event as a false positive.
+    for name in ("gold", "pred"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    (tmp_path / "gold" / "n1.ann").symlink_to(tmp_path / "missing.ann")
+    (tmp_path / "pred" / "n1.ann").write_text("T1\tDrug 0 7\tcocaine\nE1\tDrug:T1\n",
+                                              encoding="utf-8")
+    assert main(["score", str(tmp_path / "gold"), str(tmp_path / "pred")]) == EXIT_DATA
+    ann = tmp_path / "gold" / "n1.ann"
+    assert capsys.readouterr().err == (
+        f"slotscore: error: <input>: cannot read {ann}: "
+        f"[Errno 2] No such file or directory: '{ann}'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["score", "stats"])
+def test_directory_named_txt_is_searched(tmp_path, capsys, command):
+    sub = tmp_path / "corpus" / "2012.txt"
+    sub.mkdir(parents=True)
+    (sub / "n1.txt").write_text("cocaine use", encoding="utf-8")
+    (sub / "n1.ann").write_text("T1\tDrug 0 7\tcocaine\nE1\tDrug:T1\n", encoding="utf-8")
+    corpus = str(tmp_path / "corpus")
+    argv = [command, corpus] + ([corpus] if command == "score" else [])
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "score":
+        assert "overall\t\t\t\t\t1\t0\t0\t" in out
+    else:
+        assert "notes=1" in out
+
+
 def test_stats_duplicate_doc_id_names_both_files(tmp_path, capsys):
     root = tmp_path / "corpus"
     for source in ("mimic", "uw"):

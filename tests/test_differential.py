@@ -131,7 +131,7 @@ def _note_features(gold, pred, schema) -> Counter:
             targets = [target for _, target in event.arguments]
             seen["repeated role"] += len(set(roles)) < len(roles)
             seen["shared argument span"] += len(set(targets)) < len(targets)
-            seen["trigger-less event"] += doc.trigger_of(event) is None
+            seen["trigger-less event"] += doc.text_bounds.get(event.trigger) is None
             seen["undeclared event type"] += schema.event(event.event_type) is None
             seen["undeclared role"] += "Weird" in roles
         seen["discontinuous span"] += any(

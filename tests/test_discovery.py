@@ -53,9 +53,8 @@ def _same_stem_beside_a_dashed_directory(root):
 def _dotted_names(root):
     _file(root / "a.b.txt")
     _file(root / "a.b.ann", ANN)
-    # A note named exactly ".txt" keeps its whole name as doc_id. The note
-    # ".ann.txt" owns ".ann" but reads ".ann.ann" as its annotations, so
-    # ".ann" is neither stray nor read.
+    # A name that is only the suffix has no doc_id: ".txt" is not a note and
+    # ".ann" not an annotation file. ".ann.txt" is the note ".ann".
     _file(root / ".txt")
     _file(root / ".ann.txt")
     _file(root / ".ann", "not an annotation line\n")
@@ -65,7 +64,7 @@ def _dotted_names(root):
 
 
 def _dot_txt_annotated(root):
-    # ".txt.ann" is the annotation file of ".txt" but asks for ".txt.txt".
+    # ".txt" is no note, and ".txt.ann" belongs to the missing ".txt.txt".
     _file(root / ".txt")
     _file(root / ".txt.ann", ANN)
 
@@ -105,8 +104,11 @@ def _symlinked_note(root):
 def _dangling_ann(root):
     _file(root / "n1.txt")
     (root / "n1.ann").symlink_to("missing.ann")
+
+
+def _looping_ann(root):
     _file(root / "n2.txt")
-    (root / "n2.ann").symlink_to("n2.ann")  # a loop: exists() is False
+    (root / "n2.ann").symlink_to("n2.ann")
 
 
 def _dangling_txt_beside_ann(root):
@@ -138,9 +140,7 @@ CASES = {
         _same_stem_beside_a_dashed_directory,
         "{root}: duplicate doc_id 'x': a/x.txt and a-c/x.txt",
     ),
-    "dotted-names": (_dotted_names, [
-        (".ann", "other/unknown"), (".txt", "other/unknown"), ("a.b", "other/unknown"),
-    ]),
+    "dotted-names": (_dotted_names, [(".ann", "other/unknown"), ("a.b", "other/unknown")]),
     "dot-txt-annotated": (
         _dot_txt_annotated, "{root}: 1 annotation file without note text: .txt.ann"
     ),
@@ -148,24 +148,23 @@ CASES = {
         _directory_named_txt_holding_a_stray_ann,
         "{root}: 1 annotation file without note text: x.txt/q.ann",
     ),
-    "directory-named-txt": (
-        _directory_named_txt,
-        "<input>: cannot read {root}/x.txt: [Errno 21] Is a directory: '{root}/x.txt'",
-    ),
-    "directory-named-ann": (
-        _directory_named_ann,
-        "<input>: cannot read {root}/y.ann: [Errno 21] Is a directory: '{root}/y.ann'",
-    ),
-    "stray-directory-named-ann": (
-        _stray_directory_named_ann,
-        "{root}: 1 annotation file without note text: z.ann",
-    ),
+    "directory-named-txt": (_directory_named_txt, [("n1", "other/unknown")]),
+    "directory-named-ann": (_directory_named_ann, [("y", "other/unknown")]),
+    "stray-directory-named-ann": (_stray_directory_named_ann, [("n1", "other/unknown")]),
     "symlinked-directory": (_symlinked_directory, [("n1", "other/unknown")]),
     "symlinked-note": (_symlinked_note, [("n2", "other/unknown"), ("n1", "other/unknown")]),
-    "dangling-ann": (_dangling_ann, [("n1", "other/unknown"), ("n2", "other/unknown")]),
+    "dangling-ann": (
+        _dangling_ann,
+        "<input>: cannot read {root}/n1.ann: [Errno 2] No such file or directory: '{root}/n1.ann'",
+    ),
+    "looping-ann": (
+        _looping_ann,
+        "<input>: cannot read {root}/n2.ann: [Errno 40] Too many levels of symbolic links: "
+        "'{root}/n2.ann'",
+    ),
     "dangling-txt-beside-ann": (
         _dangling_txt_beside_ann,
-        "{root}: 1 annotation file without note text: n1.ann",
+        "<input>: cannot read {root}/n1.txt: [Errno 2] No such file or directory: '{root}/n1.txt'",
     ),
     "dangling-txt": (
         _dangling_txt,
@@ -209,9 +208,11 @@ def test_pinned_trees_keep_their_annotations(tmp_path):
     assert annotated == {
         "nested": ["a", "n1"],
         "dotted-names": ["a.b"],
+        "directory-named-txt": [],
+        "directory-named-ann": [],
+        "stray-directory-named-ann": [],
         "symlinked-directory": ["n1"],
         "symlinked-note": ["n1", "n2"],
-        "dangling-ann": [],
         "non-ascii-names": ["ß"],
     }
     nested = load_corpus(tmp_path / "nested")
@@ -241,12 +242,12 @@ def test_unreadable_directory_is_skipped(tmp_path, monkeypatch):
 def test_read_errors_name_the_path_as_given(tmp_path, monkeypatch, spelling):
     root = tmp_path / "corpus"
     _file(root / "a" / "n1.txt")
-    (root / "x.txt").mkdir()
+    (root / "x.txt").symlink_to("missing.txt")
     monkeypatch.chdir(root if spelling == "." else tmp_path)
     shown = "x.txt" if spelling == "." else "corpus/x.txt"
     outcome = _outcome(load_corpus, spelling)
     assert outcome == _outcome(reference_load_corpus, spelling)
-    message = f"<input>: cannot read {shown}: [Errno 21] Is a directory: '{shown}'"
+    message = f"<input>: cannot read {shown}: [Errno 2] No such file or directory: '{shown}'"
     assert outcome == ("error", message)
 
 
@@ -274,15 +275,20 @@ def test_undecodable_file_names_file_and_position(tmp_path, name, tail, reason):
 
 
 def _random_tree(root, rng):
-    stems = ["a", "a-c", "a.b", "b", "-", ".", "é", "A", "x.txt"]
-    suffixes = [".txt", ".txt", ".ann", ".TXT", ""]
+    stems = ["a", "a-c", "a.b", "b", "-", ".", "", "é", "A", "x.txt"]
+    suffixes = [".txt", ".txt", ".txt", ".ann", ".TXT", ""]
     for _ in range(rng.randint(1, 9)):
         parts = [rng.choice(stems) for _ in range(rng.randint(0, 2))]
         name = rng.choice(stems) + rng.choice(suffixes)
         path = root.joinpath(*parts, name)
-        if path.exists() or any(p.exists() and not p.is_dir() for p in path.parents):
+        if os.path.lexists(path) or any(
+            os.path.lexists(p) and not p.is_dir() for p in path.parents
+        ):
             continue
-        if name.endswith(".ann"):
+        if rng.random() < 0.2:  # a dangling symlink: its read is an error
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.symlink_to("missing")
+        elif name.endswith(".ann"):
             _file(path, "" if rng.random() < 0.5 else ANN)
         else:
             _file(path, NOTE)

@@ -461,6 +461,14 @@ def test_pred_doc_without_gold_counterpart_is_error(shac):
         score_corpus(gold, pred, shac)
 
 
+def test_pred_docs_without_gold_counterpart_are_counted_not_all_listed(shac):
+    gold = _corpus(_doc(GOLD_ANN, GOLD_TEXT, "a"))
+    pred = _corpus(*(_doc(GOLD_ANN, GOLD_TEXT, doc_id) for doc_id in "afedcb"))
+    with pytest.raises(ScoringError) as excinfo:
+        score_corpus(gold, pred, shac)
+    assert str(excinfo.value) == "5 predicted notes with no gold counterpart: b, c, d and 2 more"
+
+
 def test_additivity_over_disjoint_corpora(shac):
     gold = generate_gold(GeneratorConfig(seed=31, notes=10), shac)
     pred, _ = perturb(
