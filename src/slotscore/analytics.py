@@ -5,7 +5,7 @@ performance, and performance by event density (how many gold events of a
 type a note carries: 1, 2, or 3+). The breakdowns have no scoring rules or
 document walks of their own: the subtype table is the labeled-argument rows
 of ``score_corpus``'s report, and the density table is read from the
-per-note tallies of ``per_document_counts``.
+scorer's plain per-note cells, with no ``PhenomenonKey`` made.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .scoring import (
     TRIGGER,
     Counts,
     Metrics,
-    per_document_counts,
+    _corpus_cells,
     resolve_subtype,
     score_corpus,
 )
@@ -141,16 +141,21 @@ def density_breakdown(
     """
     cells: dict[tuple[str, str], _DensityCell] = {}
 
-    for counts in per_document_counts(gold, pred, schema).values():
+    for _, note in _corpus_cells(gold, pred, schema):
         # The note's tallies summed per event type, in one pass over its cells.
         totals: dict[str, Counts] = {}
         gold_count: dict[str, int] = {}
-        for key, tally in counts.counts.items():
-            totals.setdefault(key.event_type, Counts()).__iadd__(tally)
+        for (kind, event_type, _, _), (tp, fn, fp) in note.items():
+            total = totals.get(event_type)
+            if total is None:
+                total = totals[event_type] = Counts()
+            total.tp += tp
+            total.fn += fn
+            total.fp += fp
             # Every gold event fills its trigger slot once, as a tp or an fn,
             # trigger-less and undeclared-type events included.
-            if key.kind == TRIGGER:
-                gold_count[key.event_type] = tally.tp + tally.fn
+            if kind == TRIGGER:
+                gold_count[event_type] = tp + fn
         for event_type, total in totals.items():
             n = gold_count.get(event_type, 0)
             cell = cells.setdefault((event_type, bucket_label(n)), _DensityCell())

@@ -9,10 +9,16 @@ phenomenon (event type x argument type x subtype) and micro-averaged.
 
 ``score_document`` tallies a note in one walk: each side's events are
 sorted once and matched by the one alignment core that ``align_events``
-also wraps. The schema owns the two rules every labeled-argument score
-rests on: a role resolves through its event type's role table
-(``EventSpec.roles``), and ``AnnotationSchema.subtype_key`` says which
-attribute carries the subtype.
+also wraps. The walk fills plain cells, ``(kind, event type, argument
+type, subtype) -> [tp, fn, fp]``. Every corpus-level view folds those
+cells: ``score_corpus`` here, the density table and the bootstrap's
+per-note totals. A ``PhenomenonKey`` is made once per key, and only where
+a ``ScoreCounts`` is returned.
+
+The schema owns the two rules every labeled-argument score rests on: a
+role resolves through its event type's role table (``EventSpec.roles``),
+and ``AnnotationSchema.subtype_key`` says which attribute carries the
+subtype.
 
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
@@ -24,6 +30,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -328,14 +335,11 @@ def _phenomenon(kind: str, event_type: str, argument_type: str | None,
     return PhenomenonKey(kind, event_type, argument_type, subtype)
 
 
-def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
-    """Tally one note in one walk: align once, then add each event's slots
-    to the note's [tp, fn, fp] cells. A matched pair's shared slots are tp
-    (min(n, m) for a slot gold fills n times and pred m), its gold-only
-    slots fn and its pred-only slots fp. An unmatched gold (pred) event's
-    slots are fn (fp) by key, with no comparison. Warnings come in that
-    order, pred before gold within a pair. Raises ScoringError when the
-    notes differ in doc_id or in text."""
+def _note_cells(
+    gold: Document, pred: Document, schema: AnnotationSchema
+) -> dict[tuple, list[int]]:
+    """``score_document``'s tallies as plain cells: ``{(kind, event type,
+    argument type, subtype): [tp, fn, fp]}``, in the order first tallied."""
     if gold.doc_id != pred.doc_id:
         raise ScoringError(f"doc_id mismatch: gold {gold.doc_id!r} vs pred {pred.doc_id!r}")
     if pred.text != gold.text:
@@ -364,8 +368,42 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     for p_event in unmatched_pred:
         for key, _ in _slots(pred, p_event, schema, pred_attrs):
             cells[key][2] += 1
+    return cells
 
+
+def _score_counts(cells: dict[tuple, list[int]]) -> ScoreCounts:
+    """Plain cells as ScoreCounts, each key made once, in the cells' order."""
     return ScoreCounts({_phenomenon(*key): Counts(*cell) for key, cell in cells.items()})
+
+
+def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
+    """Tally one note in one walk: align once, then add each event's slots
+    to the note's [tp, fn, fp] cells. A matched pair's shared slots are tp
+    (min(n, m) for a slot gold fills n times and pred m), its gold-only
+    slots fn and its pred-only slots fp. An unmatched gold (pred) event's
+    slots are fn (fp) by key, with no comparison. Warnings come in that
+    order, pred before gold within a pair. Raises ScoringError when the
+    notes differ in doc_id or in text."""
+    return _score_counts(_note_cells(gold, pred, schema))
+
+
+def _corpus_cells(
+    gold: Corpus, pred: Corpus, schema: AnnotationSchema
+) -> Iterator[tuple[str, dict[tuple, list[int]]]]:
+    """``(doc_id, plain cells)`` for every gold note, in sorted doc_id order.
+
+    Predicted notes absent from gold are an error, raised before any note is
+    scored; gold notes absent from pred score against an empty prediction.
+    """
+    extra = set(pred.documents) - set(gold.documents)
+    if extra:
+        raise ScoringError(_summary(extra, "predicted note", "with no gold counterpart"))
+    for doc_id in gold.doc_ids():
+        gold_doc = gold[doc_id]
+        pred_doc = pred.documents.get(doc_id)
+        if pred_doc is None:
+            pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
+        yield doc_id, _note_cells(gold_doc, pred_doc, schema)
 
 
 def per_document_counts(
@@ -376,24 +414,24 @@ def per_document_counts(
     Predicted notes absent from gold are an error; gold notes absent from
     pred score against an empty prediction.
     """
-    extra = set(pred.documents) - set(gold.documents)
-    if extra:
-        raise ScoringError(_summary(extra, "predicted note", "with no gold counterpart"))
-    out: dict[str, ScoreCounts] = {}
-    for doc_id in gold.doc_ids():
-        gold_doc = gold[doc_id]
-        pred_doc = pred.documents.get(doc_id)
-        if pred_doc is None:
-            pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
-        out[doc_id] = score_document(gold_doc, pred_doc, schema)
-    return out
+    return {doc_id: _score_counts(cells) for doc_id, cells in _corpus_cells(gold, pred, schema)}
 
 
 def score_corpus(
     gold: Corpus, pred: Corpus, schema: AnnotationSchema
 ) -> tuple[ScoreCounts, MetricReport]:
-    """Corpus tallies (summed over notes) and their micro-averaged report."""
-    total = ScoreCounts()
-    for counts in per_document_counts(gold, pred, schema).values():
-        total.merge(counts)
-    return total, MetricReport.from_counts(total)
+    """Corpus tallies (summed over notes) and their micro-averaged report.
+    The notes' plain cells are summed in first-seen order, so each key is
+    made once."""
+    total: dict[tuple, list[int]] = {}
+    for _, cells in _corpus_cells(gold, pred, schema):
+        for key, (tp, fn, fp) in cells.items():
+            cell = total.get(key)
+            if cell is None:
+                total[key] = [tp, fn, fp]
+            else:
+                cell[0] += tp
+                cell[1] += fn
+                cell[2] += fp
+    counts = _score_counts(total)
+    return counts, MetricReport.from_counts(counts)

@@ -20,8 +20,13 @@ n > 2**32. A guard first draws repetition 0 both ways; if the indices differ,
 as they would under a numpy that draws otherwise, ``integers`` serves every
 repetition. One ``bincount`` of the block, each repetition's indices offset
 by rep * n, gives the note counts, and one product with the per-note totals
-gives the sums: the same integers as before, so the deltas are the same
-bits.
+gives the sums. A repetition draws n notes, so no product or partial sum
+exceeds ``n * max(totals)``; below 2**53 the product runs in float64,
+exactly, through BLAS, and above it in int64. Either way the sums are the
+same integers, so the deltas are the same bits.
+
+The per-note totals are summed from the scorer's plain cells, so no
+``PhenomenonKey`` or ``ScoreCounts`` is built for the bootstrap.
 
 numpy is imported only when a bootstrap runs, so scoring never loads it.
 """
@@ -33,7 +38,7 @@ from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
-from .scoring import per_document_counts, prf
+from .scoring import _corpus_cells, prf
 from .standoff import Corpus
 
 if TYPE_CHECKING:
@@ -82,14 +87,18 @@ class BootstrapResult:
 
 
 def _note_totals(gold: Corpus, pred: Corpus, schema: AnnotationSchema) -> np.ndarray:
-    """Per-note (tp, fn, fp) summed across all phenomenon keys, one row per
-    gold note in sorted doc_id order."""
+    """Per-note (tp, fn, fp) summed across the scorer's plain cells, one row
+    per gold note in sorted doc_id order."""
     import numpy as np
 
     rows = []
-    for counts in per_document_counts(gold, pred, schema).values():
-        total = counts.total()
-        rows.append((total.tp, total.fn, total.fp))
+    for _, cells in _corpus_cells(gold, pred, schema):
+        tp = fn = fp = 0
+        for cell in cells.values():
+            tp += cell[0]
+            fn += cell[1]
+            fp += cell[2]
+        rows.append((tp, fn, fp))
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
 
 
@@ -132,6 +141,22 @@ def _lemire_indices(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return scaled.view(np.int64), rejected
 
 
+def _count_product(totals: np.ndarray, n: int):
+    """The function that takes note counts (rows that sum to ``n``) to their
+    sums ``counts @ totals``, as exact integers.
+
+    When ``n * max|totals| < 2**53``, every product and every partial sum is
+    an integer below 2**53, which float64 holds exactly in any summation
+    order; the product then runs in float64, where BLAS does it, instead of
+    numpy's generic int64 loop. Otherwise it stays in int64."""
+    import numpy as np
+
+    if n * int(np.abs(totals).max(initial=0)) < 2**53:
+        weights = totals.astype(np.float64)
+        return lambda counts: counts.astype(np.float64) @ weights
+    return lambda counts: counts @ totals
+
+
 def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarray:
     """Row rep is ``totals`` summed over the notes repetition rep draws, with
     each note counted as often as it is drawn: one int64 row per repetition."""
@@ -148,6 +173,7 @@ def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarra
     # A resample's sums are its note counts (how often each note was drawn)
     # times the per-note totals: exact integers, as a plain sum.
     sums = np.empty((repetitions, totals.shape[1]), dtype=np.int64)
+    product = _count_product(totals, n)
 
     def restart(rep: int) -> None:
         counter[1] = rep
@@ -155,7 +181,7 @@ def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarra
 
     def from_integers(rep: int) -> None:
         restart(rep)
-        sums[rep] = np.bincount(rng.integers(0, n, size=n), minlength=n) @ totals
+        sums[rep] = product(np.bincount(rng.integers(0, n, size=n), minlength=n))
 
     # Guard: repetition 0's indices by both paths, up to its first rejected
     # draw. If a numpy build draws otherwise, numpy's own path serves all.
@@ -183,7 +209,7 @@ def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarra
         idx, rejected = _lemire_indices(np.concatenate(raw).reshape(len(raw), words), n)
         idx += offsets[: len(raw)]
         counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
-        sums[first : first + len(raw)] = counts @ totals
+        sums[first : first + len(raw)] = product(counts)
         if rejected.any():
             for rep in np.flatnonzero(rejected.any(axis=1)).tolist():
                 from_integers(first + rep)

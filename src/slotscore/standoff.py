@@ -610,18 +610,29 @@ def _summary(names: list[str] | set[str], noun: str, qualifier: str) -> str:
     return f"{len(names)} {noun}{'s' if len(names) > 1 else ''} {qualifier}: {listed}"
 
 
+def _prefix(root: str) -> str:
+    """What names a path below ``root`` as pathlib joins it: "./x" is "x"."""
+    return "" if root == "." else os.path.join(root, "")
+
+
 def _note_files(root: str) -> tuple[list[str], set[str]]:
     """The files below ``root`` named ``<id>.txt`` and ``<id>.ann`` with a
     non-empty ``<id>``: ``(notes, annotations)``, each a name relative to
     ``root`` with ``/`` between its parts. ``os.walk`` lists a directory, or
     a symlink to one, among the directories, so it is never a note; it does
-    not descend a symlinked directory and skips one it cannot list.
-    ``notes`` is in the order of the names' parts, so ``a/b.txt`` comes
-    before ``a-c.txt``.
+    not descend a symlinked directory. A directory it cannot list raises a
+    StandoffError that names it, since skipping it would leave its notes out
+    of the corpus without a word. ``notes`` is in the order of the names'
+    parts, so ``a/b.txt`` comes before ``a-c.txt``.
     """
+    def unlistable(exc: OSError) -> None:
+        rel = exc.filename[len(root):].lstrip(os.sep)
+        shown = _prefix(root) + rel if rel else root
+        raise StandoffError(f"cannot list {shown}: [Errno {exc.errno}] {exc.strerror}") from exc
+
     notes: list[str] = []
     annotations: set[str] = set()
-    for dirpath, _, filenames in os.walk(root):
+    for dirpath, _, filenames in os.walk(root, onerror=unlistable):
         prefix = dirpath[len(root):].lstrip(os.sep)
         prefix = prefix + "/" if prefix else ""
         for name in filenames:
@@ -644,13 +655,13 @@ def load_corpus(
     A file named ``<id>.txt`` below ``directory`` is a note, and ``<id>``,
     which must not be empty, is its doc_id; ``<id>.ann`` beside it holds
     its annotations. Suffixes are matched case-sensitively, and a directory
-    is never a note. Subdirectories are searched, but not through symlinks,
-    and one that cannot be listed is skipped. Notes are loaded in the order
-    of their path parts relative to ``directory`` (``a/b.txt`` before
-    ``a-c.txt``). Two notes with one doc_id, an ``.ann`` without its
-    ``.txt``, and a listed file that cannot be read, such as a dangling
-    symlink, are errors that name the files. A note without an ``.ann`` has
-    no annotations: a system may predict nothing for a note.
+    is never a note. Subdirectories are searched, but not through symlinks.
+    Notes are loaded in the order of their path parts relative to
+    ``directory`` (``a/b.txt`` before ``a-c.txt``). Two notes with one
+    doc_id, an ``.ann`` without its ``.txt``, a subdirectory that cannot be
+    listed, and a listed file that cannot be read, such as a dangling
+    symlink, are errors that name them. A note without an ``.ann`` has no
+    annotations: a system may predict nothing for a note.
 
     Metadata comes from manifest rules when given, else from directory-name
     conventions (path components named mimic/uw or train/dev/test); notes
@@ -668,8 +679,7 @@ def load_corpus(
             raise StandoffError(f"not a directory: {root}")
         raise StandoffError(f"corpus directory not found: {root}")
     root_name = str(root)
-    # Paths in error messages read as pathlib joins them: "./x" is "x".
-    root_prefix = "" if root_name == "." else os.path.join(root_name, "")
+    root_prefix = _prefix(root_name)
     # A load builds hundreds of thousands of records that form no cycles.
     # Full collections while it runs walk the growing heap and free nothing,
     # so the collector is paused and left as it was found.

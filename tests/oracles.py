@@ -17,8 +17,9 @@ per-type buckets. It is slow on purpose and meant for small notes.
 rule, against which the greedy aligner's losses are counted on the random
 note pairs of ``generate_alignment_case``.
 
-``reference_load_corpus`` finds a corpus's notes with pathlib: two
-``rglob`` walks, an ``is_dir()`` per name found and ``Path`` sorting.
+``reference_load_corpus`` finds a corpus's notes with pathlib: an
+``iterdir`` walk that finds unlistable directories, two ``rglob`` walks, an
+``is_dir()`` per name found and ``Path`` sorting.
 ``load_corpus``, which walks the directory once with ``os.walk``, must give
 the same documents, in the same order, and the same errors.
 """
@@ -219,12 +220,28 @@ def generate_alignment_case(
 # Note discovery
 # ---------------------------------------------------------------------------
 
+def _check_listable(directory: Path) -> None:
+    """Raise, naming it, on the first directory at or below ``directory``,
+    not through a symlink, that ``Path.iterdir`` cannot list."""
+    try:
+        children = sorted(directory.iterdir())
+    except OSError as exc:
+        raise StandoffError(
+            f"cannot list {directory}: [Errno {exc.errno}] {exc.strerror}"
+        ) from exc
+    for child in children:
+        if child.is_dir() and not child.is_symlink():
+            _check_listable(child)
+
+
 def reference_note_files(root: Path) -> tuple[list[Path], set[Path]]:
     """Every ``<id>.txt`` below ``root`` in ``Path`` order, and the set of
     every ``<id>.ann``, as ``Path.rglob`` finds them: names matched
-    case-sensitively, symlinked directories not descended, unreadable ones
-    skipped. A name that is only the suffix, and a directory or a symlink
-    to one, are dropped."""
+    case-sensitively, symlinked directories not descended. A directory that
+    cannot be listed is an error, found first by a walk of its own, since
+    ``rglob`` skips it. A name that is only the suffix, and a directory or a
+    symlink to one, are dropped."""
+    _check_listable(root)
 
     def files(suffix: str) -> list[Path]:
         return [p for p in root.rglob("*" + suffix) if p.name != suffix and not p.is_dir()]

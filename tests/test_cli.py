@@ -475,3 +475,53 @@ def test_stats_duplicate_doc_id_names_both_files(tmp_path, capsys):
     assert main(["stats", str(root)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err == f"slotscore: error: {root}: duplicate doc_id 'n1': mimic/n1.txt and uw/n1.txt\n"
+
+
+def test_unlistable_gold_directory_is_data_error(fixture_dirs, refuse_listing, capsys):
+    # A gold note in a directory that cannot be listed must not drop out of
+    # the score.
+    gold_dir, pred_dir = fixture_dirs
+    (gold_dir / "locked").mkdir()
+    (gold_dir / "locked" / "n9.txt").write_text("cocaine use", encoding="utf-8")
+    refuse_listing("locked")
+    assert main(["score", str(gold_dir), str(pred_dir)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"slotscore: error: <input>: cannot list {gold_dir / 'locked'}: "
+        "[Errno 13] Permission denied\n"
+    )
+
+
+def test_compare_warnings_are_pinned(tmp_path):
+    # Text, count and order of what compare prints to stderr. Each system is
+    # scored on its own, so every gold warning is printed once per system,
+    # and within a matched pair the prediction's warnings come first.
+    ann = (
+        "T1\tDrug 0 7\tcocaine\nT2\tStatusTime 8 13\tdaily\nT3\tAmount 14 19\theavy\n"
+        "E1\tDrug:T1 Status:T2 Amount:T3\n"
+    )
+    for name in ("gold", "a", "b"):
+        (tmp_path / name).mkdir()
+    for name in ("gold", "a"):
+        (tmp_path / name / "n1.txt").write_text("cocaine daily heavy\n", encoding="utf-8")
+        (tmp_path / name / "n1.ann").write_text(ann, encoding="utf-8")
+    src = str(Path(slotscore.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "slotscore.cli", "compare",
+         *(str(tmp_path / name) for name in ("gold", "a", "b")), "--reps", "20"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "F1 A=1.000000 B=0.000000" in run.stdout
+    missing = (
+        "WARNING:slotscore.scoring:n1: labeled argument StatusTime on E1 has no "
+        "StatusTime attribute; scoring as <missing>\n"
+    )
+    undeclared = (
+        "WARNING:slotscore.scoring:n1: role Amount on E1 is not declared for Drug; "
+        "skipping in scoring\n"
+    )
+    # system A: pred, then gold, of the matched pair; system B: gold alone
+    assert run.stderr == (missing + undeclared) * 3

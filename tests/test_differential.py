@@ -2,23 +2,36 @@
 random small notes built to hold the cases the scorer's fast paths skip:
 repeated roles, arguments sharing a span, discontinuous spans, missing and
 out-of-vocabulary subtypes, undeclared roles and event types, and events
-without a resolvable trigger."""
+without a resolvable trigger. On corpora of such notes, the corpus-level
+views (``score_corpus``, the bootstrap's per-note totals and the density
+table) agree with the per-note tallies and with the density oracle."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import reference_align, reference_score
+from slotscore.analytics import density_breakdown
 from slotscore.schema import LABELED, AnnotationSchema
-from slotscore.scoring import align_events, score_document
+from slotscore.scoring import (
+    ScoreCounts,
+    align_events,
+    per_document_counts,
+    score_corpus,
+    score_document,
+)
+from slotscore.significance import _note_totals
 from slotscore.standoff import (
     AttributeAnnotation,
+    Corpus,
     Document,
     EventAnnotation,
     Span,
     TextBound,
 )
+from test_analytics import brute_force_density
 
 TEXT = "x" * 24
 # Few distinct spans, so that triggers overlap and argument spans repeat
@@ -163,3 +176,54 @@ def test_score_document_agrees_with_reference_scorer(shac, attributes_on_events)
         seen += _note_features(gold, pred, schema)
     # every targeted case turns up in dozens of note pairs
     assert min(seen.values()) >= 100 and len(seen) == 9, seen
+
+
+def _random_corpora(rng, schema: AnnotationSchema, notes: int) -> tuple[Corpus, Corpus]:
+    """A gold corpus of random notes and a prediction that edits some of
+    them, replaces others with random notes and leaves one in eight out."""
+    gold, pred = Corpus(), Corpus()
+    for i in range(notes):
+        doc = replace(_random_note(rng, schema), doc_id=f"n{i}")
+        gold.add(doc)
+        draw = rng.random()
+        if draw < 0.5:
+            pred.add(_perturbed(rng, doc))
+        elif draw < 0.875:
+            pred.add(replace(_random_note(rng, schema), doc_id=doc.doc_id))
+    return gold, pred
+
+
+@pytest.mark.parametrize("attributes_on_events", [False, True])
+def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
+    schema = AnnotationSchema(shac.events, shac.version, attributes_on_events)
+    rng = np.random.default_rng(2301 + 2 * attributes_on_events)
+    seen = Counter()
+    for _ in range(5):
+        gold, pred = _random_corpora(rng, schema, notes=40)
+        assert len(pred) < len(gold)
+        for doc in pred:
+            seen += _note_features(gold[doc.doc_id], doc, schema)
+        per_note = per_document_counts(gold, pred, schema)
+        assert list(per_note) == gold.doc_ids()
+
+        merged = ScoreCounts()
+        for counts in per_note.values():
+            merged.merge(counts)
+        total, report = score_corpus(gold, pred, schema)
+        # the same cells, first seen in the same order
+        assert list(total.counts.items()) == list(merged.counts.items())
+        assert total.total() == merged.total() and report.overall.tp == merged.total().tp
+
+        rows = _note_totals(gold, pred, schema)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [
+            [c.tp, c.fn, c.fp] for c in (counts.total() for counts in per_note.values())
+        ]
+
+        density = {(r.event_type, r.bucket): (r.note_count, r.gold_events, r.metrics)
+                   for r in density_breakdown(gold, pred, schema)}
+        assert density == brute_force_density(gold, pred, schema)
+    # the notes reach the cases named in the module docstring
+    for feature in ("undeclared role", "undeclared event type", "trigger-less event",
+                    "missing subtype"):
+        assert seen[feature] >= 10, seen

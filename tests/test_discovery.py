@@ -219,23 +219,25 @@ def test_pinned_trees_keep_their_annotations(tmp_path):
     assert nested["n2"].text[0] == "\ufeff" and nested["n2"].text.endswith("\r\n")
 
 
-def test_unreadable_directory_is_skipped(tmp_path, monkeypatch):
-    # Faked, since a test run as root can read every directory.
+@pytest.mark.parametrize("spelling, locked, shown", [
+    ("corpus", "locked", "corpus/locked"),
+    ("./corpus//", "deep", "corpus/locked/deep"),
+    (".", "locked", "locked"),
+    ("corpus", "corpus", "corpus"),  # the root itself
+])
+def test_unlistable_directory_is_an_error(tmp_path, monkeypatch, refuse_listing, spelling,
+                                          locked, shown):
+    # Skipping it would score a gold corpus on fewer notes, without a word.
     root = tmp_path / "corpus"
     _file(root / "locked" / "n9.txt")
     _file(root / "locked" / "n9.ann", ANN)
+    _file(root / "locked" / "deep" / "n8.txt")
     _file(root / "n1.txt")
-    scandir = os.scandir
-
-    def refusing(path="."):
-        if os.path.basename(os.path.normpath(path)) == "locked":
-            raise PermissionError(13, "Permission denied", os.fspath(path))
-        return scandir(path)
-
-    monkeypatch.setattr(os, "scandir", refusing)
-    outcome = _outcome(load_corpus, root)
-    assert outcome == _outcome(reference_load_corpus, root)
-    assert [doc.doc_id for doc in outcome[1]] == ["n1"]
+    monkeypatch.chdir(root if spelling == "." else tmp_path)
+    refuse_listing(locked)
+    outcome = _outcome(load_corpus, spelling)
+    assert outcome == _outcome(reference_load_corpus, spelling)
+    assert outcome == ("error", f"<input>: cannot list {shown}: [Errno 13] Permission denied")
 
 
 @pytest.mark.parametrize("spelling", ["corpus", "corpus/", "./corpus//", "."])

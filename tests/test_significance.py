@@ -252,6 +252,28 @@ def test_guard_falls_back_when_the_raw_mapping_is_wrong(shac, golden_world, monk
     assert _deltas_sha256(result.deltas) == GOLDEN["deltas_sha256"]
 
 
+@pytest.mark.parametrize("n, peak, product_dtype", [
+    (7, (2**53 - 1) // 7, np.float64),  # n * peak just under 2**53: exact in float64
+    (8, 2**53 // 8, np.int64),          # n * peak == 2**53: int64
+    (7, 2**53 // 7 + 1000, np.int64),   # above, where float64 would round odd sums
+    (7, 0, np.float64),                 # all-zero totals
+])
+def test_resample_sums_are_exact_at_the_float_bound(n, peak, product_dtype):
+    reps = 60
+    totals = np.maximum(peak - np.random.default_rng(n).integers(0, 4, size=(n, 6)), 0)
+    totals[0, 0] = peak
+    assert n * int(totals.max()) < 2**53 or product_dtype is np.int64
+    product = significance._count_product(totals, n)
+    assert product(np.ones(n, dtype=np.int64)).dtype == product_dtype
+    sums = _resample_sums(totals, 5, reps)
+    expected = _reference_sums(totals, 5, reps)
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums, expected)
+    if peak > 2**53 // n:
+        # sums that float64 cannot hold: an odd integer above 2**53
+        assert ((expected > 2**53) & (expected % 2 == 1)).any()
+
+
 def test_resample_sums_peak_allocation_is_bounded():
     # The kernel's own allocations peak at the sums plus at most 1 MB for
     # shac-compare's shape, so the block size cannot creep up unseen.
