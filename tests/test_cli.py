@@ -166,6 +166,13 @@ def test_compare_rejects_bad_seed_before_loading(tmp_path, capsys):
         assert "seed must be in [0, 2**128)" in err and "missing" not in err
 
 
+def _env() -> dict:
+    """The environment for a child process that imports this checkout's package."""
+    src = str(Path(slotscore.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_score_stats_and_validate_load_no_numpy(tmp_path):
     # numpy is imported only when a bootstrap or gen runs
     for name in ("gold", "pred"):
@@ -185,10 +192,7 @@ def test_score_stats_and_validate_load_no_numpy(tmp_path):
         f"assert slotscore.cli.main(['validate', {gold!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    src = str(Path(slotscore.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 
@@ -506,12 +510,10 @@ def test_compare_warnings_are_pinned(tmp_path):
     for name in ("gold", "a"):
         (tmp_path / name / "n1.txt").write_text("cocaine daily heavy\n", encoding="utf-8")
         (tmp_path / name / "n1.ann").write_text(ann, encoding="utf-8")
-    src = str(Path(slotscore.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "slotscore.cli", "compare",
          *(str(tmp_path / name) for name in ("gold", "a", "b")), "--reps", "20"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        env=_env(), capture_output=True, text=True,
     )
     assert run.returncode == EXIT_OK, run.stderr
     assert "F1 A=1.000000 B=0.000000" in run.stdout
