@@ -20,12 +20,11 @@ from pathlib import Path
 
 import yaml
 
-from . import analytics, reports, testkit
+from . import analytics, reports
 from .schema import AnnotationSchema, SchemaError, load_schema_file, shac_schema, validate_corpus
 from .scoring import ScoringError, score_corpus
 from .significance import BootstrapConfig, paired_bootstrap
 from .standoff import StandoffError, load_corpus, write_corpus
-from .testkit import GeneratorConfig, GeneratorError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,6 +194,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # Only gen uses the generator, so no other command pays for its import.
+    from .testkit import GeneratorConfig, GeneratorError, generate_gold, perturb
+
     data = yaml.safe_load(Path(args.config).read_text(encoding="utf-8")) or {}
     if not isinstance(data, dict):
         raise GeneratorError("generator config must be a mapping")
@@ -204,12 +206,12 @@ def cmd_gen(args) -> int:
     schema = _schema_from(args)
 
     outdir = Path(args.outdir)
-    gold = testkit.generate_gold(cfg, schema)
+    gold = generate_gold(cfg, schema)
     write_corpus(gold, outdir / "gold")
     print(f"wrote {len(gold)} gold note(s) to {outdir / 'gold'} (seed={cfg.seed})")
 
     if any((cfg.trigger_shift, cfg.span_edit, cfg.subtype_flip, cfg.event_drop, cfg.event_insert)):
-        pred, edits = testkit.perturb(gold, cfg, schema)
+        pred, edits = perturb(gold, cfg, schema)
         write_corpus(pred, outdir / "pred")
         log = [
             {k: v for k, v in dataclasses.asdict(edit).items() if v not in (None, ())}
@@ -228,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level.upper()), stream=sys.stderr)
     try:
         return args.func(args)
-    except (StandoffError, SchemaError, ScoringError, GeneratorError, ValueError, OSError) as exc:
+    except (StandoffError, SchemaError, ScoringError, ValueError, OSError) as exc:
         print(f"slotscore: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

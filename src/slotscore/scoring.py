@@ -128,7 +128,7 @@ def prf(tp: int, fn: int, fp: int) -> tuple[float, float, float]:
 
 @dataclass
 class ScoreCounts:
-    """tp/fn/fp tallies keyed by phenomenon; additive under concatenation."""
+    """tp/fn/fp tallies keyed by phenomenon."""
 
     counts: dict[PhenomenonKey, Counts] = field(default_factory=dict)
 
@@ -145,12 +145,6 @@ class ScoreCounts:
     def merge(self, other: "ScoreCounts") -> None:
         for key, cell in other.counts.items():
             self.tally(key, cell.tp, cell.fn, cell.fp)
-
-    def __add__(self, other: "ScoreCounts") -> "ScoreCounts":
-        out = ScoreCounts()
-        out.merge(self)
-        out.merge(other)
-        return out
 
     def __getitem__(self, key: PhenomenonKey) -> Counts:
         return self.counts.get(key, Counts())

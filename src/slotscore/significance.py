@@ -175,6 +175,9 @@ def _resample_sums(totals: np.ndarray, seed: int, repetitions: int) -> np.ndarra
     sums = np.empty((repetitions, totals.shape[1]), dtype=np.int64)
     product = _count_product(totals, n)
 
+    # Advancing by (1 << 64) - ceil(words / 4) after a repetition's words
+    # gives the same stream, but a restart by advance() took 2.0-2.3 us and
+    # one by state assignment 1.2-1.7 us (numpy 2.4, min of 7 x 10,000).
     def restart(rep: int) -> None:
         counter[1] = rep
         bit_gen.state = fresh

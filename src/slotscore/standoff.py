@@ -24,16 +24,6 @@ argument targets and an attribute's target are the very id objects of the
 annotations they name. Callers compare by equality and must not rely on
 identity either way. A text-bound stores no copy of the text it covers,
 which is ``tb.span.extract(doc.text)``.
-
-A T line of one fragment, written as BRAT writes it, takes a fast path:
-``ID<TAB>LABEL START END<TAB>TEXT`` with one space before each offset,
-offsets of at most 18 ASCII digits, a span inside the note, an id not seen
-before and a stated text that matches the note. Every other T line takes
-the general path: one with a sign, non-ASCII digits, ``;``, other or more
-whitespace, a stated text that differs, a duplicate id or a span past the
-note's end. The fast path keeps only lines that the general path keeps
-without a warning, and builds the same record, so the two give the same
-documents, warnings and errors.
 """
 
 from __future__ import annotations
@@ -269,11 +259,29 @@ def _read_raw(path: str | Path) -> str:
         raise StandoffError(f"cannot read {path}: {exc}") from exc
 
 
+_new = object.__new__
+_set_fragments = Span.fragments.__set__
+_set_id = TextBound.id.__set__
+_set_label = TextBound.label.__set__
+_set_span = TextBound.span.__set__
+
+
 def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
     # int() raises ValueError on a token that is not an integer, and also on
     # one of more digits than the interpreter converts (4,300 by default).
-    fragments = []
     try:
+        if ";" not in offsets:
+            pieces = offsets.split()
+            if len(pieces) == 2:
+                start, end = int(pieces[0]), int(pieces[1])
+                # One valid fragment, as BRAT writes nearly every span: the
+                # slot is set through its descriptor, which skips a check
+                # that Span would pass, and gives an equal record.
+                if 0 <= start < end:
+                    span = _new(Span)
+                    _set_fragments(span, ((start, end),))
+                    return span
+        fragments = []
         for part in offsets.split(";"):
             pieces = part.split()
             if len(pieces) != 2:
@@ -286,33 +294,6 @@ def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
         return Span(tuple(fragments))
     except ValueError as exc:
         raise StandoffError(f"invalid span {offsets!r}: {exc}", doc_id, line_no) from None
-
-
-# A T line of one fragment stated as two runs of ASCII digits, each after one
-# space: id, label, start, end and stated text. Everything else that reads as
-# a T line takes the general path. At most 18 digits keep int() far from its
-# limit on the length of what it converts.
-_ONE_FRAGMENT_T = re.compile(r"(T[^\t]*)\t([^\t ]*) ([0-9]{1,18}) ([0-9]{1,18})\t(.*)", re.S)
-
-_new = object.__new__
-_set_fragments = Span.fragments.__set__
-_set_id = TextBound.id.__set__
-_set_label = TextBound.label.__set__
-_set_span = TextBound.span.__set__
-
-
-def _one_fragment_text_bound(ann_id: str, label: str, start: int, end: int) -> TextBound:
-    """``TextBound(ann_id, label, Span.single(start, end))`` for offsets
-    already known to satisfy ``0 <= start < end``. It sets the slots through
-    their descriptors: it skips the frozen ``__init__`` and the span's
-    validation, which the caller has done, and builds an equal record."""
-    span = _new(Span)
-    _set_fragments(span, ((start, end),))
-    tb = _new(TextBound)
-    _set_id(tb, ann_id)
-    _set_label(tb, label)
-    _set_span(tb, span)
-    return tb
 
 
 def parse_document(
@@ -345,36 +326,18 @@ def parse_document(
             raise StandoffError(message, doc_id, line_no)
         logger.warning("%s:%d: %s", doc_id or "<input>", line_no, message)
 
-    one_fragment_t = _ONE_FRAGMENT_T.fullmatch
     text_len = len(doc_text)
     for line_no, line in enumerate(_lines(ann_text), start=1):
         kind = line[:1]  # no T, E or A line is blank
         if kind == "T":
-            match = one_fragment_t(line)
-            if match is not None:
-                ann_id, label, start, end, stated_text = match.groups()
-                start, end = int(start), int(end)
-                # An empty span, one past the note's end, a duplicate id or a
-                # stated text that differs goes on to the general path.
-                if (
-                    start < end <= text_len
-                    and ann_id not in text_bounds
-                    and _states(stated_text, doc_text[start:end])
-                ):
-                    ann_id = intern(ann_id)
-                    text_bounds[ann_id] = _one_fragment_text_bound(
-                        ann_id, intern(label), start, end
-                    )
-                    continue
-            parts = line.split("\t")
-            ann_id = intern(parts[0])  # T1, E1, ... recur in every note
-            if len(parts) < 2:
+            ann_id, tab, rest = line.partition("\t")
+            ann_id = intern(ann_id)  # T1, E1, ... recur in every note
+            if not tab:
                 raise StandoffError("text-bound line needs type and offsets", doc_id, line_no)
-            stated_text = "\t".join(parts[2:])  # the rest of the line, tabs and all
-            head = parts[1].split(" ", 1)
-            if len(head) != 2:
-                raise StandoffError(f"malformed text-bound header {parts[1]!r}", doc_id, line_no)
-            label, offsets = head
+            header, _, stated_text = rest.partition("\t")  # the rest keeps its tabs
+            label, space, offsets = header.partition(" ")
+            if not space:
+                raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
             span = _parse_fragments(offsets, doc_id, line_no)
             if span.end > text_len:
                 raise StandoffError(
@@ -389,7 +352,12 @@ def parse_document(
                 fail_or_warn(message, line_no)
             if ann_id in text_bounds:
                 raise StandoffError(f"duplicate id {ann_id}", doc_id, line_no)
-            text_bounds[ann_id] = TextBound(ann_id, intern(label), span)
+            # Equal to TextBound(ann_id, label, span), without the frozen __init__
+            tb = _new(TextBound)
+            _set_id(tb, ann_id)
+            _set_label(tb, intern(label))
+            _set_span(tb, span)
+            text_bounds[ann_id] = tb
 
         elif kind == "E":
             ann_id, _, body = line.partition("\t")

@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class GeneratorError(Exception):
+class GeneratorError(ValueError):
     """The generator config is invalid or infeasible for the schema."""
 
 

@@ -174,7 +174,7 @@ def _env() -> dict:
 
 
 def test_score_stats_and_validate_load_no_numpy(tmp_path):
-    # numpy is imported only when a bootstrap or gen runs
+    # numpy and the generator are imported only when a bootstrap or gen runs
     for name in ("gold", "pred"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "n1.txt").write_text("cocaine daily\n", encoding="utf-8")
@@ -191,6 +191,7 @@ def test_score_stats_and_validate_load_no_numpy(tmp_path):
         f"assert slotscore.cli.main(['stats', {gold!r}]) == 0\n"
         f"assert slotscore.cli.main(['validate', {gold!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert 'slotscore.testkit' not in sys.modules, 'testkit was imported'\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -306,6 +307,15 @@ def test_gen_seed_override(tmp_path, capsys):
     a = (tmp_path / "a" / "gold" / "note0000.ann").read_text()
     b = (tmp_path / "b" / "gold" / "note0000.ann").read_text()
     assert a != b
+
+
+def test_gen_rejects_a_config_that_is_not_a_mapping(tmp_path, capsys):
+    config = tmp_path / "gen.yaml"
+    config.write_text("- notes: 2\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    assert main(["gen", str(config), str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "slotscore: error: generator config must be a mapping\n"
+    assert not out.exists()
 
 
 def test_gen_takes_no_report_options(tmp_path, capsys):
