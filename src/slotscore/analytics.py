@@ -141,7 +141,7 @@ def density_breakdown(
     """
     cells: dict[tuple[str, str], _DensityCell] = {}
 
-    for _, note in _corpus_cells(gold, pred, schema):
+    for _, (note,) in _corpus_cells(gold, (pred,), schema):
         # The note's tallies summed per event type, in one pass over its cells.
         totals: dict[str, Counts] = {}
         gold_count: dict[str, int] = {}

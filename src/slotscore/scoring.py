@@ -7,18 +7,23 @@ exactly; labeled arguments are span-agnostic and match on subtype alone.
 True positives, false negatives, and false positives are tallied per
 phenomenon (event type x argument type x subtype) and micro-averaged.
 
-``score_document`` tallies a note in one walk: each side's events are
-sorted once and matched by the one alignment core that ``align_events``
-also wraps. The walk fills plain cells, ``(kind, event type, argument
-type, subtype) -> [tp, fn, fp]``. Every corpus-level view folds those
-cells: ``score_corpus`` here, the density table and the bootstrap's
-per-note totals. A ``PhenomenonKey`` is made once per key, and only where
-a ``ScoreCounts`` is returned.
+A gold note is prepared once for every prediction scored against it: its
+events are sorted, its attribute index is built, and each gold event's
+slots are built on first use and kept. Each prediction's events are then
+sorted and matched to gold's by the one alignment core that
+``align_events`` also wraps, and the walk fills plain cells, ``(kind,
+event type, argument type, subtype) -> [tp, fn, fp]``. ``_corpus_cells``
+makes one pass over gold for any number of predictions. Every corpus-level
+view folds its cells: ``score_corpus`` here and the density table with one
+prediction, the bootstrap's per-note totals with both systems at once. A
+``PhenomenonKey`` is made once per key, and only where a ``ScoreCounts`` is
+returned.
 
 The schema owns the two rules every labeled-argument score rests on: a
 role resolves through its event type's role table (``EventSpec.roles``),
 and ``AnnotationSchema.subtype_key`` says which attribute carries the
-subtype.
+subtype. A scoring call copies the first into one table of plain keys and
+shared slots (``_role_table``) and applies the second inline.
 
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
@@ -30,7 +35,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -226,10 +231,12 @@ def _ordered_rows(doc: Document) -> tuple[list[tuple], list[EventAnnotation]]:
     return rows, [event for _, event in tail]
 
 
-def _align(gold: Document, pred: Document) -> tuple[list, list, list]:
-    """The one alignment core: (matched (gold, pred) pairs, unmatched gold,
-    unmatched pred), each in document order. See ``align_events``."""
-    gold_rows, gold_tail = _ordered_rows(gold)
+def _align(gold_rows: list[tuple], gold_tail: list[EventAnnotation],
+           pred: Document) -> tuple[list, list, list]:
+    """The one alignment core, over gold's ``_ordered_rows``, which it leaves
+    as they are for the next prediction: (matched (gold, pred) pairs,
+    unmatched gold, unmatched pred), each in document order. See
+    ``align_events``."""
     pred_rows, pred_tail = _ordered_rows(pred)
     buckets: dict[str, list[tuple]] = {}
     for row in pred_rows:
@@ -263,7 +270,7 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
     that starts at or after the gold trigger's end. ``score_document``
     aligns through the same core; this wraps its result.
     """
-    return EventAlignment(*(tuple(part) for part in _align(gold, pred)))
+    return EventAlignment(*(tuple(part) for part in _align(*_ordered_rows(gold), pred)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +298,71 @@ def resolve_subtype(
     return attr.value
 
 
-def _slots(doc: Document, event: EventAnnotation, schema: AnnotationSchema,
+def _role_table(schema: AnnotationSchema) -> dict[str, tuple]:
+    """``{event type: (trigger slot, {role: (spec, span-only key or None,
+    labeled slots)})}`` for every declared event type, so ``_slots`` asks
+    the schema nothing per event. A labeled role's slots, ``{subtype: slot}``,
+    fill as subtypes are met (a span-only role's are None). So every note
+    shares one trigger slot per type and one labeled slot per subtype, and
+    most slot comparisons end at an identity test. Built once per scoring
+    call, never kept between calls."""
+    table = {}
+    for event_spec in schema.events:
+        event_type = event_spec.event_type
+        table[event_type] = (
+            ((TRIGGER, event_type, None, None), None),
+            {
+                role: (spec, (SPAN_ONLY_ARG, event_type, spec.argument_type, None), None)
+                if spec.kind == SPAN_ONLY else (spec, None, {})
+                for role, spec in event_spec.roles.items()
+            },
+        )
+    return table
+
+
+def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
+           schema: AnnotationSchema,
            attrs: dict[tuple[str, str], AttributeAnnotation]) -> list[tuple]:
     """The slots one event fills, as a list of (key, match value): its
     trigger (match value None), then in argument order each span-only
     argument (its fragments) and each labeled argument (its subtype). The
-    key is a plain (kind, event type, argument type, subtype) tuple.
-    Undeclared roles are not scorable phenomena: they are skipped with a
-    warning (validation reports them), and an undeclared event type fills
-    its trigger slot only."""
+    key is a plain (kind, event type, argument type, subtype) tuple. Keys,
+    and the trigger and labeled slots, come from ``table`` (``_role_table``).
+    A labeled argument's subtype is looked up in ``attrs``
+    (``doc.attribute_index()``) by ``schema.subtype_key``'s rule; only a
+    missing one goes through ``resolve_subtype``, which warns. Undeclared
+    roles are not scorable phenomena: they are skipped with a warning
+    (validation reports them), and an undeclared event type fills its
+    trigger slot only."""
     event_type = event.event_type
-    slots = [((TRIGGER, event_type, None, None), None)]
-    event_spec = schema.event(event_type)
-    if event_spec is None:
-        return slots
-    roles = event_spec.roles
+    entry = table.get(event_type)
+    if entry is None:
+        return [((TRIGGER, event_type, None, None), None)]
+    trigger_slot, roles = entry
+    slots = [trigger_slot]
+    on_event = schema.attributes_on_events
     for role, target in event.arguments:
-        spec = roles.get(role)
-        if spec is None:
+        found = roles.get(role)
+        if found is None:
             logger.warning(
                 "%s: role %s on %s is not declared for %s; skipping in scoring",
                 doc.doc_id, role, event.id, event_type,
             )
             continue
-        if spec.kind == SPAN_ONLY:
-            span = doc.text_bounds[target].span
-            slots.append(((SPAN_ONLY_ARG, event_type, spec.argument_type, None), span.fragments))
+        spec, key, labeled = found
+        if key is not None:
+            slots.append((key, doc.text_bounds[target].span.fragments))
             continue
-        subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
-        slots.append(((LABELED_ARG, event_type, spec.argument_type, subtype), subtype))
+        # schema.subtype_key's rule, inline
+        attr = attrs.get((event.id if on_event else target, spec.attribute_name))
+        subtype = None if attr is None else attr.value
+        if subtype is None:
+            subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
+        slot = labeled.get(subtype)
+        if slot is None:
+            key = (LABELED_ARG, event_type, spec.argument_type, subtype)
+            slot = labeled[subtype] = (key, subtype)
+        slots.append(slot)
     return slots
 
 
@@ -329,11 +372,8 @@ def _phenomenon(kind: str, event_type: str, argument_type: str | None,
     return PhenomenonKey(kind, event_type, argument_type, subtype)
 
 
-def _note_cells(
-    gold: Document, pred: Document, schema: AnnotationSchema
-) -> dict[tuple, list[int]]:
-    """``score_document``'s tallies as plain cells: ``{(kind, event type,
-    argument type, subtype): [tp, fn, fp]}``, in the order first tallied."""
+def _check_pair(gold: Document, pred: Document) -> None:
+    """Raise ScoringError unless the notes share doc_id and text."""
     if gold.doc_id != pred.doc_id:
         raise ScoringError(f"doc_id mismatch: gold {gold.doc_id!r} vs pred {pred.doc_id!r}")
     if pred.text != gold.text:
@@ -342,27 +382,57 @@ def _note_cells(
             f"{gold.doc_id}: predicted note text differs from gold at code point {at}; "
             "offsets into different texts cannot be compared"
         )
-    matched, unmatched_gold, unmatched_pred = _align(gold, pred)
-    gold_attrs, pred_attrs = gold.attribute_index(), pred.attribute_index()
-    cells: defaultdict[tuple, list[int]] = defaultdict(partial(list, (0, 0, 0)))
 
-    for g_event, p_event in matched:
-        pred_slots = _slots(pred, p_event, schema, pred_attrs)
-        for slot in _slots(gold, g_event, schema, gold_attrs):
-            if slot in pred_slots:
-                pred_slots.remove(slot)
-                cells[slot[0]][0] += 1
-            else:
-                cells[slot[0]][1] += 1
-        for key, _ in pred_slots:
-            cells[key][2] += 1
-    for g_event in unmatched_gold:
-        for key, _ in _slots(gold, g_event, schema, gold_attrs):
-            cells[key][1] += 1
-    for p_event in unmatched_pred:
-        for key, _ in _slots(pred, p_event, schema, pred_attrs):
-            cells[key][2] += 1
-    return cells
+
+def _gold_note(
+    gold: Document, table: dict[str, tuple], schema: AnnotationSchema
+) -> Callable[[Document], dict[tuple, list[int]]]:
+    """Prepare one gold note for any number of predictions, and return the
+    function that tallies one of them (already checked by ``_check_pair``)
+    as plain cells: ``{(kind, event type, argument type, subtype): [tp, fn,
+    fp]}``, in the order first tallied.
+
+    Gold's events are sorted and its attribute index built here, once. Each
+    gold event's slots are built on first use and kept by event id, so the
+    first prediction warns as a lone one would and gold never warns twice."""
+    rows, tail = _ordered_rows(gold)
+    attrs = gold.attribute_index()
+    kept: dict[str, list[tuple]] = {}
+
+    def gold_slots(event: EventAnnotation) -> list[tuple]:
+        slots = kept.get(event.id)
+        if slots is None:
+            slots = kept[event.id] = _slots(gold, event, table, schema, attrs)
+        return slots
+
+    def cells_of(pred: Document) -> dict[tuple, list[int]]:
+        matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
+        pred_attrs = pred.attribute_index()
+        cells: defaultdict[tuple, list[int]] = defaultdict(partial(list, (0, 0, 0)))
+        for g_event, p_event in matched:
+            pred_slots = _slots(pred, p_event, table, schema, pred_attrs)
+            g_slots = gold_slots(g_event)
+            if pred_slots == g_slots:  # all tp, as the loop below would find
+                for key, _ in g_slots:
+                    cells[key][0] += 1
+                continue
+            for slot in g_slots:
+                if slot in pred_slots:
+                    pred_slots.remove(slot)
+                    cells[slot[0]][0] += 1
+                else:
+                    cells[slot[0]][1] += 1
+            for key, _ in pred_slots:
+                cells[key][2] += 1
+        for g_event in unmatched_gold:
+            for key, _ in gold_slots(g_event):
+                cells[key][1] += 1
+        for p_event in unmatched_pred:
+            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):
+                cells[key][2] += 1
+        return cells
+
+    return cells_of
 
 
 def _score_counts(cells: dict[tuple, list[int]]) -> ScoreCounts:
@@ -378,26 +448,46 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     slots are fn (fp) by key, with no comparison. Warnings come in that
     order, pred before gold within a pair. Raises ScoringError when the
     notes differ in doc_id or in text."""
-    return _score_counts(_note_cells(gold, pred, schema))
+    _check_pair(gold, pred)
+    return _score_counts(_gold_note(gold, _role_table(schema), schema)(pred))
 
 
 def _corpus_cells(
-    gold: Corpus, pred: Corpus, schema: AnnotationSchema
-) -> Iterator[tuple[str, dict[tuple, list[int]]]]:
-    """``(doc_id, plain cells)`` for every gold note, in sorted doc_id order.
+    gold: Corpus, preds: Sequence[Corpus], schema: AnnotationSchema
+) -> Iterator[tuple[str, list[dict[tuple, list[int]]]]]:
+    """``(doc_id, [plain cells per prediction])`` for every gold note, in
+    sorted doc_id order: one pass over gold, each note prepared once
+    (``_gold_note``) and tallied against every prediction in input order.
 
-    Predicted notes absent from gold are an error, raised before any note is
-    scored; gold notes absent from pred score against an empty prediction.
+    Before any note is scored, each prediction is checked in input order:
+    a predicted note absent from gold is an error, then a note whose text
+    differs from gold's, in doc_id order. Gold notes absent from a
+    prediction score against an empty one.
     """
-    extra = set(pred.documents) - set(gold.documents)
-    if extra:
-        raise ScoringError(_summary(extra, "predicted note", "with no gold counterpart"))
-    for doc_id in gold.doc_ids():
-        gold_doc = gold[doc_id]
-        pred_doc = pred.documents.get(doc_id)
-        if pred_doc is None:
-            pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
-        yield doc_id, _note_cells(gold_doc, pred_doc, schema)
+    doc_ids, gold_docs = gold.doc_ids(), gold.documents
+    for pred in preds:
+        extra = set(pred.documents) - set(gold.documents)
+        if extra:
+            raise ScoringError(_summary(extra, "predicted note", "with no gold counterpart"))
+        for doc_id in doc_ids:
+            pred_doc = pred.documents.get(doc_id)
+            if pred_doc is None:
+                continue
+            gold_doc = gold_docs[doc_id]
+            # _check_pair's test, inline: it runs once per note and prediction
+            if pred_doc.text != gold_doc.text or pred_doc.doc_id != gold_doc.doc_id:
+                _check_pair(gold_doc, pred_doc)
+    table = _role_table(schema)
+    for doc_id in doc_ids:
+        gold_doc = gold_docs[doc_id]
+        cells_of = _gold_note(gold_doc, table, schema)
+        note = []
+        for pred in preds:
+            pred_doc = pred.documents.get(doc_id)
+            if pred_doc is None:
+                pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
+            note.append(cells_of(pred_doc))
+        yield doc_id, note
 
 
 def per_document_counts(
@@ -408,7 +498,10 @@ def per_document_counts(
     Predicted notes absent from gold are an error; gold notes absent from
     pred score against an empty prediction.
     """
-    return {doc_id: _score_counts(cells) for doc_id, cells in _corpus_cells(gold, pred, schema)}
+    return {
+        doc_id: _score_counts(cells)
+        for doc_id, (cells,) in _corpus_cells(gold, (pred,), schema)
+    }
 
 
 def score_corpus(
@@ -418,7 +511,7 @@ def score_corpus(
     The notes' plain cells are summed in first-seen order, so each key is
     made once."""
     total: dict[tuple, list[int]] = {}
-    for _, cells in _corpus_cells(gold, pred, schema):
+    for _, (cells,) in _corpus_cells(gold, (pred,), schema):
         for key, (tp, fn, fp) in cells.items():
             cell = total.get(key)
             if cell is None:

@@ -1,11 +1,12 @@
 """Paired bootstrap comparison of two systems' overall F1 on one gold
 corpus, resampling at the note level.
 
-Per-note tallies are computed once per system; each repetition then draws
-notes with replacement, sums the cached tallies, and records the F1
-difference. The random stream is Philox4x64 keyed by the seed. Repetition i
-starts at counter word 1 = i (every other counter word 0), which is the
-stream of ``Philox(key=seed).advance(i << 64)``. It depends on (seed, i)
+Per-note tallies of both systems come from one pass over gold, which
+prepares each gold note once for the two; each repetition then draws notes
+with replacement, sums the cached tallies, and records the F1 difference.
+The random stream is Philox4x64 keyed by the seed. Repetition i starts at
+counter word 1 = i (every other counter word 0), which is the stream of
+``Philox(key=seed).advance(i << 64)``. It depends on (seed, i)
 only, so a shorter run is a prefix of a longer one. Its notes are the indices
 ``Generator.integers(0, n, size=n)`` draws from that stream.
 
@@ -33,6 +34,7 @@ numpy is imported only when a bootstrap runs, so scoring never loads it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index
 from typing import TYPE_CHECKING
@@ -86,20 +88,26 @@ class BootstrapResult:
         return "statistically different" if self.significant else "not statistically different"
 
 
-def _note_totals(gold: Corpus, pred: Corpus, schema: AnnotationSchema) -> np.ndarray:
-    """Per-note (tp, fn, fp) summed across the scorer's plain cells, one row
-    per gold note in sorted doc_id order."""
+def _note_totals(
+    gold: Corpus, preds: Sequence[Corpus], schema: AnnotationSchema
+) -> np.ndarray:
+    """Per-note (tp, fn, fp) summed across the scorer's plain cells, from one
+    pass over gold: one row per gold note in sorted doc_id order, holding
+    each prediction's three totals in input order."""
     import numpy as np
 
     rows = []
-    for _, cells in _corpus_cells(gold, pred, schema):
-        tp = fn = fp = 0
-        for cell in cells.values():
-            tp += cell[0]
-            fn += cell[1]
-            fp += cell[2]
-        rows.append((tp, fn, fp))
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    for _, note in _corpus_cells(gold, preds, schema):
+        row = []
+        for cells in note:
+            tp = fn = fp = 0
+            for cell in cells.values():
+                tp += cell[0]
+                fn += cell[1]
+                fp += cell[2]
+            row += (tp, fn, fp)
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3 * len(preds))
 
 
 def _overall_f1(totals: np.ndarray) -> float:
@@ -241,7 +249,7 @@ def paired_bootstrap(
         raise ValueError("gold corpus is empty")
 
     # One row per gold note: system A's (tp, fn, fp), then system B's.
-    totals = np.hstack([_note_totals(gold, pred_a, schema), _note_totals(gold, pred_b, schema)])
+    totals = _note_totals(gold, (pred_a, pred_b), schema)
 
     f1_a = _overall_f1(totals[:, :3].sum(axis=0))
     f1_b = _overall_f1(totals[:, 3:].sum(axis=0))

@@ -508,8 +508,8 @@ def test_unlistable_gold_directory_is_data_error(fixture_dirs, refuse_listing, c
 
 
 def test_compare_warnings_are_pinned(tmp_path):
-    # Text, count and order of what compare prints to stderr. Each system is
-    # scored on its own, so every gold warning is printed once per system,
+    # Text, count and order of what compare prints to stderr. Gold's slots
+    # are built once for both systems, so every gold warning is printed once,
     # and within a matched pair the prediction's warnings come first.
     ann = (
         "T1\tDrug 0 7\tcocaine\nT2\tStatusTime 8 13\tdaily\nT3\tAmount 14 19\theavy\n"
@@ -535,5 +535,33 @@ def test_compare_warnings_are_pinned(tmp_path):
         "WARNING:slotscore.scoring:n1: role Amount on E1 is not declared for Drug; "
         "skipping in scoring\n"
     )
-    # system A: pred, then gold, of the matched pair; system B: gold alone
-    assert run.stderr == (missing + undeclared) * 3
+    # system A: pred, then gold, of the matched pair; system B: nothing
+    assert run.stderr == (missing + undeclared) * 2
+
+
+def test_compare_warns_per_note_system_a_then_system_b(tmp_path):
+    # Two notes, each with one warning from gold, A and B. Per note: A's
+    # matched pair (its prediction, then gold), then B's prediction; gold's
+    # warning is not printed again for B.
+    text = "cocaine daily heavy\n"
+    for name, role in (("gold", "GoldOnly"), ("a", "SysA"), ("b", "SysB")):
+        (tmp_path / name).mkdir()
+        for doc_id in ("n1", "n2"):
+            (tmp_path / name / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+            (tmp_path / name / f"{doc_id}.ann").write_text(
+                f"T1\tDrug 0 7\tcocaine\nT2\tAmount 14 19\theavy\nE1\tDrug:T1 {role}:T2\n",
+                encoding="utf-8",
+            )
+    run = subprocess.run(
+        [sys.executable, "-m", "slotscore.cli", "compare",
+         *(str(tmp_path / name) for name in ("gold", "a", "b")), "--reps", "20"],
+        env=_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "F1 A=1.000000 B=1.000000" in run.stdout
+    assert run.stderr == "".join(
+        f"WARNING:slotscore.scoring:{doc_id}: role {role} on E1 is not declared for Drug; "
+        "skipping in scoring\n"
+        for doc_id in ("n1", "n2")
+        for role in ("SysA", "GoldOnly", "SysB")
+    )

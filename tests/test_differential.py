@@ -4,7 +4,8 @@ repeated roles, arguments sharing a span, discontinuous spans, missing and
 out-of-vocabulary subtypes, undeclared roles and event types, and events
 without a resolvable trigger. On corpora of such notes, the corpus-level
 views (``score_corpus``, the bootstrap's per-note totals and the density
-table) agree with the per-note tallies and with the density oracle."""
+table) agree with the per-note tallies and with the density oracle, and
+scoring two systems in one pass over gold equals scoring each on its own."""
 
 from collections import Counter
 from dataclasses import replace
@@ -19,10 +20,11 @@ from slotscore.scoring import (
     ScoreCounts,
     align_events,
     per_document_counts,
+    prf,
     score_corpus,
     score_document,
 )
-from slotscore.significance import _note_totals
+from slotscore.significance import BootstrapConfig, _note_totals, paired_bootstrap
 from slotscore.standoff import (
     AttributeAnnotation,
     Corpus,
@@ -178,19 +180,21 @@ def test_score_document_agrees_with_reference_scorer(shac, attributes_on_events)
     assert min(seen.values()) >= 100 and len(seen) == 9, seen
 
 
-def _random_corpora(rng, schema: AnnotationSchema, notes: int) -> tuple[Corpus, Corpus]:
-    """A gold corpus of random notes and a prediction that edits some of
-    them, replaces others with random notes and leaves one in eight out."""
-    gold, pred = Corpus(), Corpus()
+def _random_corpora(rng, schema: AnnotationSchema, notes: int, systems: int = 1) -> tuple:
+    """A gold corpus of random notes, then ``systems`` predictions, each of
+    which edits some of them, replaces others with random notes and leaves
+    one in eight out."""
+    gold, preds = Corpus(), [Corpus() for _ in range(systems)]
     for i in range(notes):
         doc = replace(_random_note(rng, schema), doc_id=f"n{i}")
         gold.add(doc)
-        draw = rng.random()
-        if draw < 0.5:
-            pred.add(_perturbed(rng, doc))
-        elif draw < 0.875:
-            pred.add(replace(_random_note(rng, schema), doc_id=doc.doc_id))
-    return gold, pred
+        for pred in preds:
+            draw = rng.random()
+            if draw < 0.5:
+                pred.add(_perturbed(rng, doc))
+            elif draw < 0.875:
+                pred.add(replace(_random_note(rng, schema), doc_id=doc.doc_id))
+    return (gold, *preds)
 
 
 @pytest.mark.parametrize("attributes_on_events", [False, True])
@@ -214,7 +218,7 @@ def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
         assert list(total.counts.items()) == list(merged.counts.items())
         assert total.total() == merged.total() and report.overall.tp == merged.total().tp
 
-        rows = _note_totals(gold, pred, schema)
+        rows = _note_totals(gold, (pred,), schema)
         assert rows.dtype == np.int64
         assert rows.tolist() == [
             [c.tp, c.fn, c.fp] for c in (counts.total() for counts in per_note.values())
@@ -227,3 +231,39 @@ def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
     for feature in ("undeclared role", "undeclared event type", "trigger-less event",
                     "missing subtype"):
         assert seen[feature] >= 10, seen
+
+
+@pytest.mark.parametrize("attributes_on_events", [False, True])
+def test_one_pass_over_gold_equals_a_pass_per_system(shac, attributes_on_events):
+    # The reference scores each system in a pass of its own, as
+    # per_document_counts does, then runs the per-repetition loop on the
+    # documented Philox stream with prf on Python ints.
+    schema = AnnotationSchema(shac.events, shac.version, attributes_on_events)
+    rng = np.random.default_rng(1805 + attributes_on_events)
+    reps = 200
+    for world in range(4):
+        gold, pred_a, pred_b = _random_corpora(rng, schema, notes=30, systems=2)
+        one_pass = _note_totals(gold, (pred_a, pred_b), schema)
+        per_system = [_note_totals(gold, (pred,), schema) for pred in (pred_a, pred_b)]
+        assert one_pass.dtype == np.int64
+        assert np.array_equal(one_pass, np.hstack(per_system))
+
+        totals = [
+            [[c.tp, c.fn, c.fp] for c in (counts.total() for counts in
+                                           per_document_counts(gold, pred, schema).values())]
+            for pred in (pred_a, pred_b)
+        ]
+        n, seed = len(gold), 1000 + world
+        expected = []
+        for rep in range(reps):
+            draws = np.random.Generator(np.random.Philox(key=seed).advance(rep << 64))
+            idx = draws.integers(0, n, size=n).tolist()
+            f1 = [prf(*(sum(rows[i][k] for i in idx) for k in range(3)))[2] for rows in totals]
+            expected.append(f1[0] - f1[1])
+        result = paired_bootstrap(
+            gold, pred_a, pred_b, schema, BootstrapConfig(repetitions=reps, seed=seed),
+            keep_deltas=True,
+        )
+        assert [d.hex() for d in result.deltas] == [d.hex() for d in expected]
+        assert result.f1_a == score_corpus(gold, pred_a, schema)[1].overall.f1
+        assert result.f1_b == score_corpus(gold, pred_b, schema)[1].overall.f1

@@ -15,7 +15,7 @@ from slotscore.significance import (
     paired_bootstrap,
 )
 from slotscore.standoff import Corpus, Document
-from slotscore.scoring import prf, score_corpus
+from slotscore.scoring import ScoringError, prf, score_corpus
 from slotscore.testkit import GeneratorConfig, generate_gold, perturb
 
 
@@ -157,8 +157,8 @@ def test_resampler_equals_per_rep_loop(shac, seed):
     result = paired_bootstrap(
         gold, pred_a, pred_b, shac, BootstrapConfig(repetitions=reps, seed=seed), keep_deltas=True
     )
-    totals_a = _note_totals(gold, pred_a, shac)
-    totals_b = _note_totals(gold, pred_b, shac)
+    totals_a = _note_totals(gold, (pred_a,), shac)
+    totals_b = _note_totals(gold, (pred_b,), shac)
     expected = []
     for rep in range(reps):
         idx = _stream(seed, rep).integers(0, len(gold), size=len(gold))
@@ -371,3 +371,43 @@ def test_notes_without_gold_slots_are_legal_resamples(shac):
         gold, gold, _empty_like(gold), shac, BootstrapConfig(repetitions=200, seed=9)
     )
     assert 0.0 < result.p_value <= 1.0
+
+
+def test_error_precedence_follows_system_order(shac, small_world, caplog):
+    # Each system is checked in input order, first for notes with no gold
+    # counterpart, then note by note in doc_id order for a text unlike
+    # gold's, and before any note is scored: A's text mismatch wins over B's
+    # extra note, and over B's mismatch on an earlier note.
+    gold, _ = small_world
+    first, last = gold.doc_ids()[0], gold.doc_ids()[-1]
+
+    def changed(doc_id):
+        pred = _empty_like(gold)
+        pred.documents[doc_id] = Document(doc_id, gold[doc_id].text + "x")
+        return pred
+
+    with_extra = _empty_like(gold)
+    with_extra.add(Document("zz-extra", "text"))
+    cfg = BootstrapConfig(repetitions=5)
+    for pred_b in (with_extra, changed(first)):
+        with pytest.raises(ScoringError, match=f"^{last}: predicted note text differs"):
+            paired_bootstrap(gold, changed(last), pred_b, shac, cfg)
+    # within one system, an extra note wins over a text mismatch
+    with_both = changed(first)
+    with_both.add(Document("zz-extra", "text"))
+    with pytest.raises(ScoringError, match="no gold counterpart"):
+        paired_bootstrap(gold, with_both, _empty_like(gold), shac, cfg)
+    # no note is scored before the error: A's first note would warn
+    noisy = changed(last)
+    event = next(iter(gold[first].events.values()))
+    weird = dataclasses.replace(event, arguments=event.arguments + (("Weird", event.trigger),))
+    noisy.documents[first] = dataclasses.replace(gold[first], events={event.id: weird})
+    caplog.clear()
+    with pytest.raises(ScoringError, match=f"^{last}: "):
+        paired_bootstrap(gold, noisy, _empty_like(gold), shac, cfg)
+    assert not [r for r in caplog.records if r.name == "slotscore.scoring"]
+    score_corpus(Corpus({first: gold[first]}), Corpus({first: noisy[first]}), shac)
+    assert [r.getMessage() for r in caplog.records if r.name == "slotscore.scoring"] == [
+        f"{first}: role Weird on {event.id} is not declared for {event.event_type}; "
+        "skipping in scoring"
+    ]
