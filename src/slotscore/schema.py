@@ -96,9 +96,7 @@ class AnnotationSchema:
 
     ``attributes_on_events`` says which annotation carries a labeled
     argument's subtype attribute: the argument's text-bound (False) or the
-    event (True). ``subtype_key`` states that rule; the scorer's slot walk
-    (``scoring._slots``) repeats it inline, as it runs once per labeled
-    argument.
+    event (True). ``subtype_key`` is the one statement of that rule.
     """
 
     events: tuple[EventSpec, ...]

@@ -23,7 +23,7 @@ The schema owns the two rules every labeled-argument score rests on: a
 role resolves through its event type's role table (``EventSpec.roles``),
 and ``AnnotationSchema.subtype_key`` says which attribute carries the
 subtype. A scoring call copies the first into one table of plain keys and
-shared slots (``_role_table``) and applies the second inline.
+shared slots (``_role_table``) and asks ``subtype_key`` for the second.
 
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
@@ -328,9 +328,9 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
     argument (its fragments) and each labeled argument (its subtype). The
     key is a plain (kind, event type, argument type, subtype) tuple. Keys,
     and the trigger and labeled slots, come from ``table`` (``_role_table``).
-    A labeled argument's subtype is looked up in ``attrs``
-    (``doc.attribute_index()``) by ``schema.subtype_key``'s rule; only a
-    missing one goes through ``resolve_subtype``, which warns. Undeclared
+    A labeled argument's subtype is read from ``attrs``
+    (``doc.attribute_index()``) at ``schema.subtype_key``; only a missing
+    one goes through ``resolve_subtype``, which warns. Undeclared
     roles are not scorable phenomena: they are skipped with a warning
     (validation reports them), and an undeclared event type fills its
     trigger slot only."""
@@ -340,7 +340,6 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
         return [((TRIGGER, event_type, None, None), None)]
     trigger_slot, roles = entry
     slots = [trigger_slot]
-    on_event = schema.attributes_on_events
     for role, target in event.arguments:
         found = roles.get(role)
         if found is None:
@@ -353,10 +352,9 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
         if key is not None:
             slots.append((key, doc.text_bounds[target].span.fragments))
             continue
-        # schema.subtype_key's rule, inline
-        attr = attrs.get((event.id if on_event else target, spec.attribute_name))
+        attr = attrs.get(schema.subtype_key(event.id, target, spec))
         subtype = None if attr is None else attr.value
-        if subtype is None:
+        if subtype is None:  # resolve_subtype warns and gives the missing sentinel
             subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
         slot = labeled.get(subtype)
         if slot is None:
@@ -473,10 +471,7 @@ def _corpus_cells(
             pred_doc = pred.documents.get(doc_id)
             if pred_doc is None:
                 continue
-            gold_doc = gold_docs[doc_id]
-            # _check_pair's test, inline: it runs once per note and prediction
-            if pred_doc.text != gold_doc.text or pred_doc.doc_id != gold_doc.doc_id:
-                _check_pair(gold_doc, pred_doc)
+            _check_pair(gold_docs[doc_id], pred_doc)
     table = _role_table(schema)
     for doc_id in doc_ids:
         gold_doc = gold_docs[doc_id]

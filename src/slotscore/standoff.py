@@ -339,19 +339,12 @@ def parse_document(
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
             span = _parse_fragments(offsets, doc_id, line_no)
-            # Span.end and Span.extract, read off the fragments without the calls
-            fragments = span.fragments
-            end = fragments[-1][1]
-            if end > text_len:
+            if span.end > text_len:
                 raise StandoffError(
-                    f"span {fragments} exceeds text length {text_len}", doc_id, line_no
+                    f"span {span.fragments} exceeds text length {text_len}", doc_id, line_no
                 )
-            if len(fragments) == 1:
-                covered = doc_text[fragments[0][0]:end]
-            else:
-                covered = span.extract(doc_text)
-            # _states' first test, inline: a plain match skips the call
-            if (stated_text != covered or "\r" in covered) and not _states(stated_text, covered):
+            covered = span.extract(doc_text)
+            if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
                     f"text has {covered!r}"
