@@ -24,6 +24,13 @@ argument targets and an attribute's target are the very id objects of the
 annotations they name. Callers compare by equality and must not rely on
 identity either way. A text-bound stores no copy of the text it covers,
 which is ``tb.span.extract(doc.text)``.
+
+Within one ``load_corpus`` call, each repeated offset (one int per
+distinct offset token) and each repeated ``(role, target)`` argument pair
+is one object too, across all the notes of that load. The table that
+shares them lives only while the load runs: two loads, and two
+``parse_document`` calls, share no offsets or pairs. Spans and their
+fragment tuples are never shared; each text-bound has its own.
 """
 
 from __future__ import annotations
@@ -264,31 +271,44 @@ _set_fragments = Span.fragments.__set__
 _set_id = TextBound.id.__set__
 _set_label = TextBound.label.__set__
 _set_span = TextBound.span.__set__
+_set_event_id = EventAnnotation.id.__set__
+_set_event_type = EventAnnotation.event_type.__set__
+_set_trigger = EventAnnotation.trigger.__set__
+_set_arguments = EventAnnotation.arguments.__set__
+_set_attribute_id = AttributeAnnotation.id.__set__
+_set_name = AttributeAnnotation.name.__set__
+_set_target = AttributeAnnotation.target.__set__
+_set_value = AttributeAnnotation.value.__set__
 
 
-def _parse_fragments(offsets: str, doc_id: str, line_no: int) -> Span:
+def _parse_fragments(offsets: str, doc_id: str, line_no: int, shared: dict) -> Span:
     # int() raises ValueError on a token that is not an integer, and also on
     # one of more digits than the interpreter converts (4,300 by default).
+    # ``shared`` maps each offset token int() accepted before to its int, so
+    # a load holds one int per distinct token.
+    fragments = []
     try:
-        if ";" not in offsets:
-            pieces = offsets.split()
-            if len(pieces) == 2:
-                start, end = int(pieces[0]), int(pieces[1])
-                # One valid fragment, as BRAT writes nearly every span: the
-                # slot is set through its descriptor, which skips a check
-                # that Span would pass, and gives an equal record.
-                if 0 <= start < end:
-                    span = _new(Span)
-                    _set_fragments(span, ((start, end),))
-                    return span
-        fragments = []
         for part in offsets.split(";"):
             pieces = part.split()
             if len(pieces) != 2:
                 raise StandoffError(f"malformed span offsets {offsets!r}", doc_id, line_no)
-            fragments.append((int(pieces[0]), int(pieces[1])))
+            first, last = pieces
+            start = shared.get(first)
+            if start is None:
+                start = shared[first] = int(first)
+            end = shared.get(last)
+            if end is None:
+                end = shared[last] = int(last)
+            fragments.append((start, end))
     except ValueError:
         raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
+    if len(fragments) == 1 and 0 <= start < end:
+        # One valid fragment, as BRAT writes nearly every span: the slot is
+        # set through its descriptor, which skips a check that Span would
+        # pass, and gives an equal record.
+        span = _new(Span)
+        _set_fragments(span, (fragments[0],))
+        return span
     fragments.sort()
     try:
         return Span(tuple(fragments))
@@ -315,6 +335,21 @@ def parse_document(
     Raises StandoffError for malformed syntax, out-of-bounds offsets,
     dangling references, and duplicate ids in either mode.
     """
+    return _parse(ann_text, doc_text, doc_id, strict, metadata, {})
+
+
+def _parse(
+    ann_text: str,
+    doc_text: str,
+    doc_id: str,
+    strict: bool,
+    metadata: DocumentMetadata | None,
+    shared: dict,
+) -> Document:
+    """``parse_document``, keeping one object per repeated offset and
+    argument pair in ``shared``: offset tokens map to their ints and each
+    ``(role, target)`` pair to itself. ``load_corpus`` passes one dict for
+    every note it loads."""
     if ann_text.startswith("\ufeff"):
         ann_text = ann_text[1:]
     text_bounds: dict[str, TextBound] = {}
@@ -338,12 +373,17 @@ def parse_document(
             label, space, offsets = header.partition(" ")
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
-            span = _parse_fragments(offsets, doc_id, line_no)
-            if span.end > text_len:
+            span = _parse_fragments(offsets, doc_id, line_no, shared)
+            fragments = span.fragments
+            end = fragments[-1][1]
+            if end > text_len:
                 raise StandoffError(
-                    f"span {span.fragments} exceeds text length {text_len}", doc_id, line_no
+                    f"span {fragments} exceeds text length {text_len}", doc_id, line_no
                 )
-            covered = span.extract(doc_text)
+            if len(fragments) == 1:
+                covered = doc_text[fragments[0][0]:end]
+            else:
+                covered = span.extract(doc_text)
             if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
@@ -414,7 +454,7 @@ def parse_document(
 
     # Second pass: resolve references now that all text-bounds are known. A
     # resolved reference is the id object of the annotation it names.
-    event_ids = {ann_id for _, ann_id, _, _, _ in raw_events}
+    pair_for = shared.setdefault
     events: dict[str, EventAnnotation] = {}
     for line_no, ann_id, event_type, trigger, args in raw_events:
         if ann_id in events:
@@ -432,9 +472,10 @@ def parse_document(
         for role, target in args:
             tb = text_bounds.get(target)
             if tb is not None:
-                arguments.append((role, tb.id))
+                pair = (role, tb.id)
+                arguments.append(pair_for(pair, pair))
                 continue
-            if target in event_ids:
+            if any(target == raw[1] for raw in raw_events):
                 raise StandoffError(
                     f"event {ann_id} argument {role} targets an event; only text-bound "
                     "arguments are supported",
@@ -444,7 +485,13 @@ def parse_document(
             raise StandoffError(
                 f"event {ann_id} argument {role} references unknown {target}", doc_id, line_no
             )
-        events[ann_id] = EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
+        # Equal to EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
+        event = _new(EventAnnotation)
+        _set_event_id(event, ann_id)
+        _set_event_type(event, event_type)
+        _set_trigger(event, trigger)
+        _set_arguments(event, tuple(arguments))
+        events[ann_id] = event
 
     attributes: dict[str, AttributeAnnotation] = {}
     seen_name_target: dict[tuple[str, str], str] = {}
@@ -465,7 +512,13 @@ def parse_document(
             )
             continue
         seen_name_target[(name, target)] = ann_id
-        attributes[ann_id] = AttributeAnnotation(ann_id, name, target, value)
+        # Equal to AttributeAnnotation(ann_id, name, target, value)
+        attribute = _new(AttributeAnnotation)
+        _set_attribute_id(attribute, ann_id)
+        _set_name(attribute, name)
+        _set_target(attribute, target)
+        _set_value(attribute, value)
+        attributes[ann_id] = attribute
 
     return Document(
         doc_id=doc_id,
@@ -639,7 +692,10 @@ def load_corpus(
     module docstring), except on CPython 3.12, which never frees an
     interned string: equal texts, such as a note in a gold corpus and in a
     prediction loaded in the same process, may be one shared object.
-    Callers rely on equality, not identity.
+    Within this load, a repeated offset or ``(role, target)`` argument pair
+    is one object across notes; the table behind that is dropped when the
+    load returns, so nothing it held outlives the call. Callers rely on
+    equality, not identity.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -669,6 +725,7 @@ def load_corpus(
             raise StandoffError(_summary(stray, "annotation file", "without note text"), root_name)
 
         corpus = Corpus()
+        shared: dict = {}  # offsets and argument pairs, held for this load only
         claimed: dict[str, str] = {}  # doc_id -> the note file that claimed it
         for txt in notes:
             rel = txt[:-4]
@@ -685,7 +742,7 @@ def load_corpus(
             ann = rel + ".ann"
             if ann in annotations:
                 ann_text = _read_raw(root_prefix + ann)
-                doc = parse_document(ann_text, text, doc_id=doc_id, strict=strict, metadata=metadata)
+                doc = _parse(ann_text, text, doc_id, strict, metadata, shared)
             else:
                 doc = Document(doc_id, text, metadata=metadata)
             corpus.add(doc)

@@ -5,8 +5,11 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
+from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -808,34 +811,52 @@ def test_load_corpus_missing_ann_means_no_predictions(tmp_path):
 
 
 def test_loading_shares_repeated_strings(tmp_path, shac):
+    # Three events of every type make notes of about 500 characters, so
+    # offsets above 256 recur across notes.
+    density = {event_type: {3: 1.0} for event_type in shac.event_types()}
     generated = generate_gold(
-        GeneratorConfig(seed=3, notes=4, partitions=(("other", "unknown"),)), shac
+        GeneratorConfig(seed=3, notes=4, density=density, partitions=(("other", "unknown"),)),
+        shac,
     )
-    write_corpus(generated, tmp_path)
-    gold, pred = load_corpus(tmp_path), load_corpus(tmp_path)
+    write_corpus(generated, tmp_path / "notes")
+    gold, pred = load_corpus(tmp_path / "notes"), load_corpus(tmp_path / "notes")
     shares_texts = sys.version_info[:2] != (3, 12)  # 3.12 never frees an interned string
     first_seen = {}
 
     def assert_shared(value):
         assert first_seen.setdefault(value, value) is value, value
 
+    loads = []
     for corpus in (gold, pred):
+        # Within one load, one int per offset and one tuple per argument pair.
+        offsets, pairs, notes_with = {}, {}, Counter()
         for doc in corpus:
             made = generated[doc.doc_id]
             assert doc == made
+            alone = parse_document(serialize_document(made), made.text, doc.doc_id)
+            assert alone == doc and repr(alone) == repr(doc)
             assert (doc.text is gold[doc.doc_id].text) is (shares_texts or corpus is gold)
             for tb in doc.text_bounds.values():
                 assert_shared(tb.id)
                 assert_shared(tb.label)
                 assert hash(tb) == hash(made.text_bounds[tb.id])
+                for bound in chain.from_iterable(tb.span.fragments):
+                    assert offsets.setdefault(bound, bound) is bound, bound
+            notes_with.update(
+                {bound for tb in doc.text_bounds.values() for frag in tb.span.fragments
+                 for bound in frag if bound > 256}
+            )
             for ev in doc.events.values():
                 assert_shared(ev.id)
                 assert_shared(ev.event_type)
                 assert ev.trigger is doc.text_bounds[ev.trigger].id
-                for role, target in ev.arguments:
+                for pair in ev.arguments:
+                    role, target = pair
                     assert_shared(role)
                     assert target is doc.text_bounds[target].id
+                    assert pairs.setdefault(pair, pair) is pair, pair
                 assert hash(ev) == hash(made.events[ev.id])
+                assert hash(alone.events[ev.id]) == hash(made.events[ev.id])
             for attr in doc.attributes.values():
                 assert_shared(attr.id)
                 assert_shared(attr.name)
@@ -843,8 +864,59 @@ def test_loading_shares_repeated_strings(tmp_path, shac):
                 owner = doc.text_bounds.get(attr.target) or doc.events[attr.target]
                 assert attr.target is owner.id
                 assert hash(attr) == hash(made.attributes[attr.id])
+                assert hash(alone.attributes[attr.id]) == hash(made.attributes[attr.id])
+        # Offsets up to 256 are one object in CPython anyway; larger ones recur too.
+        assert max(notes_with.values()) > 1
+        loads.append((offsets, pairs))
     # Every note repeats the ids of the others, so sharing across notes is checked.
     assert len(gold) == 4 and all("E1" in doc.events for doc in gold)
+    # What one load shares is dropped when it returns: the next load builds its own.
+    (gold_offsets, gold_pairs), (pred_offsets, pred_pairs) = loads
+    assert all(gold_offsets[v] is not pred_offsets[v] for v in gold_offsets if v > 256)
+    assert all(gold_pairs[pair] is not pred_pairs[pair] for pair in gold_pairs)
+
+    # An offset token reads as int() reads it, whether or not it is cached.
+    text = "cocaine use daily"
+    tokens = ["10", "010", "+10", "1_0", "\u0661\u0660", "10"]  # U+0661 U+0660: Arabic-Indic 10
+    ann = "".join(f"T{i}\tDrug 0 {token}\tcocaine us\n" for i, token in enumerate(tokens, 1))
+    for k in range(2):
+        _write_note(tmp_path / "tokens", f"n{k}", text, ann)
+    for doc in (parse_document(ann, text, "n0"), *load_corpus(tmp_path / "tokens")):
+        assert [tb.span for tb in doc.text_bounds.values()] == [
+            Span.single(0, int(token)) for token in tokens
+        ]
+
+    # A bad offsets string after cached good tokens fails as it does alone.
+    bad_offsets = ["0 7.0", "0 x7", "7 0", "0 7;3 9", "0 " + "7" * 5000]
+    for k, bad in enumerate(bad_offsets):
+        ann = f"T1\tDrug 0 7\tcocaine\nT2\tDrug 3 9\tcaine u\nT3\tDrug {bad}\tcocaine\n"
+        _write_note(tmp_path / f"bad{k}", "n0", text, "T1\tDrug 0 7\tcocaine\n")
+        _write_note(tmp_path / f"bad{k}", "n1", text, ann)
+        with pytest.raises(StandoffError) as alone:
+            parse_document(ann, text, "n1")
+        with pytest.raises(StandoffError) as loaded:
+            load_corpus(tmp_path / f"bad{k}")
+        assert (loaded.value.line_no, str(loaded.value)) == (3, str(alone.value)), bad
+
+
+def test_load_corpus_traced_bytes_per_line_are_bounded(tmp_path, shac):
+    # A dense load (20 notes, 20 events of every type in each) keeps about 208
+    # to 214 traced bytes per annotation line on CPython 3.11 to 3.13 and 226
+    # on 3.10, note texts included. Building an int per offset and a tuple per
+    # argument pair kept 253 to 271. The bound leaves 14 bytes over 3.10.
+    density = {event_type: {20: 1.0} for event_type in shac.event_types()}
+    write_corpus(generate_gold(GeneratorConfig(seed=1, notes=20, density=density), shac), tmp_path)
+    lines = sum(p.read_text(encoding="utf-8").count("\n") for p in tmp_path.glob("*.ann"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(tmp_path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 20 and lines > 10_000
+    assert held <= 240 * lines, f"{held / lines:.1f} bytes per line"
 
 
 def test_loading_shares_metadata_per_source_and_split(tmp_path):
@@ -1133,11 +1205,13 @@ def test_load_corpus_leaves_collector_as_found(tmp_path, monkeypatch, enabled, l
         _write_note(tmp_path, "n2", "cocaine use", "Zebra\n")
     collecting_during_parse = []
 
+    parse = standoff._parse  # what load_corpus calls for each note with an .ann
+
     def parse_and_record(*args, **kwargs):
         collecting_during_parse.append(gc.isenabled())
-        return parse_document(*args, **kwargs)
+        return parse(*args, **kwargs)
 
-    monkeypatch.setattr(standoff, "parse_document", parse_and_record)
+    monkeypatch.setattr(standoff, "_parse", parse_and_record)
     was_enabled = gc.isenabled()
     _set_collector(enabled)
     try:
