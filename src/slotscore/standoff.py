@@ -271,14 +271,6 @@ _set_fragments = Span.fragments.__set__
 _set_id = TextBound.id.__set__
 _set_label = TextBound.label.__set__
 _set_span = TextBound.span.__set__
-_set_event_id = EventAnnotation.id.__set__
-_set_event_type = EventAnnotation.event_type.__set__
-_set_trigger = EventAnnotation.trigger.__set__
-_set_arguments = EventAnnotation.arguments.__set__
-_set_attribute_id = AttributeAnnotation.id.__set__
-_set_name = AttributeAnnotation.name.__set__
-_set_target = AttributeAnnotation.target.__set__
-_set_value = AttributeAnnotation.value.__set__
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int, shared: dict) -> Span:
@@ -374,16 +366,11 @@ def _parse(
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
             span = _parse_fragments(offsets, doc_id, line_no, shared)
-            fragments = span.fragments
-            end = fragments[-1][1]
-            if end > text_len:
+            if span.end > text_len:
                 raise StandoffError(
-                    f"span {fragments} exceeds text length {text_len}", doc_id, line_no
+                    f"span {span.fragments} exceeds text length {text_len}", doc_id, line_no
                 )
-            if len(fragments) == 1:
-                covered = doc_text[fragments[0][0]:end]
-            else:
-                covered = span.extract(doc_text)
+            covered = span.extract(doc_text)
             if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
@@ -485,13 +472,7 @@ def _parse(
             raise StandoffError(
                 f"event {ann_id} argument {role} references unknown {target}", doc_id, line_no
             )
-        # Equal to EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
-        event = _new(EventAnnotation)
-        _set_event_id(event, ann_id)
-        _set_event_type(event, event_type)
-        _set_trigger(event, trigger)
-        _set_arguments(event, tuple(arguments))
-        events[ann_id] = event
+        events[ann_id] = EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
 
     attributes: dict[str, AttributeAnnotation] = {}
     seen_name_target: dict[tuple[str, str], str] = {}
@@ -512,13 +493,7 @@ def _parse(
             )
             continue
         seen_name_target[(name, target)] = ann_id
-        # Equal to AttributeAnnotation(ann_id, name, target, value)
-        attribute = _new(AttributeAnnotation)
-        _set_attribute_id(attribute, ann_id)
-        _set_name(attribute, name)
-        _set_target(attribute, target)
-        _set_value(attribute, value)
-        attributes[ann_id] = attribute
+        attributes[ann_id] = AttributeAnnotation(ann_id, name, target, value)
 
     return Document(
         doc_id=doc_id,
