@@ -39,7 +39,6 @@ from .standoff import (
     Document,
     DocumentMetadata,
     EventAnnotation,
-    Span,
     StandoffError,
     TextBound,
     load_corpus,

@@ -2,8 +2,10 @@
 
 Corpora are BRAT collections: directories of ``<id>.txt`` / ``<id>.ann``
 pairs. Exit codes are stable: 0 success, 1 usage, 2 data error, 3
-internal. All outputs are byte-identical for identical inputs and flags;
-``--stamp`` opts into a timestamp header.
+internal. A reader that closes stdout early (``slotscore score ... | head``)
+is no error: the run exits 0 and prints nothing to stderr. All outputs are
+byte-identical for identical inputs and flags; ``--stamp`` opts into a
+timestamp header.
 """
 
 from __future__ import annotations
@@ -229,7 +231,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()), stream=sys.stderr)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing reads the rest; devnull takes what the flush at exit writes.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (StandoffError, SchemaError, ScoringError, ValueError, OSError) as exc:
         print(f"slotscore: error: {exc}", file=sys.stderr)
         return EXIT_DATA

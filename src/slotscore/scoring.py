@@ -1,11 +1,12 @@
 """Slot-filling scoring of predicted events against gold events.
 
 Events are aligned per note by trigger equivalence: same event type and
-spans overlapping by at least one character. Arguments of aligned events
-are then compared per kind: span-only arguments must match their span
-exactly; labeled arguments are span-agnostic and match on subtype alone.
-True positives, false negatives, and false positives are tallied per
-phenomenon (event type x argument type x subtype) and micro-averaged.
+trigger fragments that share at least one character (``_overlaps``).
+Arguments of aligned events are then compared per kind: span-only
+arguments must match their span exactly; labeled arguments are
+span-agnostic and match on subtype alone. True positives, false
+negatives, and false positives are tallied per phenomenon (event type x
+argument type x subtype) and micro-averaged.
 
 A gold note is prepared once for every prediction scored against it: its
 events are sorted, its attribute index is built, and each gold event's
@@ -214,18 +215,28 @@ class EventAlignment:
     unmatched_pred: tuple[EventAnnotation, ...]
 
 
+def _overlaps(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -> bool:
+    """The trigger-overlap rule: whether any fragment of ``a`` shares at
+    least one character with any fragment of ``b`` (ends are exclusive)."""
+    for a_start, a_end in a:
+        for b_start, b_end in b:
+            if a_start < b_end and b_start < a_end:
+                return True
+    return False
+
+
 def _ordered_rows(doc: Document) -> tuple[list[tuple], list[EventAnnotation]]:
     """A note's events sorted once: rows of plain values (trigger start,
-    trigger end, annotation_sort_key(id), event, trigger span), then the
-    events whose trigger does not resolve, by id; those never match."""
+    trigger end, annotation_sort_key(id), event, trigger fragments), then
+    the events whose trigger does not resolve, by id; those never match."""
     rows, tail = [], []
     for event in doc.events.values():
         tb = doc.text_bounds.get(event.trigger)
         if tb is None:
             tail.append((annotation_sort_key(event.id), event))
         else:
-            frags = tb.span.fragments
-            rows.append((frags[0][0], frags[-1][1], annotation_sort_key(event.id), event, tb.span))
+            frags = tb.fragments
+            rows.append((frags[0][0], frags[-1][1], annotation_sort_key(event.id), event, frags))
     rows.sort()
     tail.sort()
     return rows, [event for _, event in tail]
@@ -243,13 +254,13 @@ def _align(gold_rows: list[tuple], gold_tail: list[EventAnnotation],
         buckets.setdefault(row[3].event_type, []).append(row)
 
     matched, unmatched_gold = [], []
-    for _, g_end, _, g, g_span in gold_rows:
+    for _, g_end, _, g, g_frags in gold_rows:
         bucket = buckets.get(g.event_type, ())
-        for i, (p_start, _, _, p, p_span) in enumerate(bucket):
+        for i, (p_start, _, _, p, p_frags) in enumerate(bucket):
             if p_start >= g_end:
                 unmatched_gold.append(g)
                 break
-            if g_span.overlaps(p_span):
+            if _overlaps(g_frags, p_frags):
                 matched.append((g, p))
                 del bucket[i]
                 break
@@ -350,7 +361,7 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
             continue
         spec, key, labeled = found
         if key is not None:
-            slots.append((key, doc.text_bounds[target].span.fragments))
+            slots.append((key, doc.text_bounds[target].fragments))
             continue
         attr = attrs.get(schema.subtype_key(event.id, target, spec))
         subtype = None if attr is None else attr.value

@@ -23,14 +23,14 @@ document, across documents and across corpora, and an event's trigger and
 argument targets and an attribute's target are the very id objects of the
 annotations they name. Callers compare by equality and must not rely on
 identity either way. A text-bound stores no copy of the text it covers,
-which is ``tb.span.extract(doc.text)``.
+which is ``tb.covered(doc.text)``.
 
 Within one ``load_corpus`` call, each repeated offset (one int per
 distinct offset token) and each repeated ``(role, target)`` argument pair
 is one object too, across all the notes of that load. The table that
 shares them lives only while the load runs: two loads, and two
-``parse_document`` calls, share no offsets or pairs. Spans and their
-fragment tuples are never shared; each text-bound has its own.
+``parse_document`` calls, share no offsets or pairs. Fragment tuples are
+never shared; each text-bound has its own.
 """
 
 from __future__ import annotations
@@ -81,63 +81,47 @@ def annotation_sort_key(ann_id: str) -> tuple:
     return (ann_id, -1, ann_id)
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """A (possibly discontinuous) character span: sorted, non-overlapping
-    half-open fragments."""
+def _checked(fragments) -> tuple[tuple[int, int], ...]:
+    """``fragments`` as a tuple of ``(start, end)`` int pairs. ValueError
+    unless there is one at least, each has ``0 <= start < end``, and they
+    are sorted and do not overlap."""
+    # index(), unlike int(), refuses a float or string offset (TypeError).
+    frags = tuple((index(s), index(e)) for s, e in fragments)
+    if not frags:
+        raise ValueError("a span needs at least one fragment")
+    prev_end = -1
+    for start, end in frags:
+        if start < 0 or end <= start:
+            raise ValueError(f"invalid fragment ({start}, {end})")
+        if start < prev_end:
+            raise ValueError("fragments must be sorted and non-overlapping")
+        prev_end = end
+    return frags
 
-    fragments: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        # index(), unlike int(), refuses a float or string offset (TypeError).
-        frags = tuple((index(s), index(e)) for s, e in self.fragments)
-        if not frags:
-            raise ValueError("a span needs at least one fragment")
-        prev_end = -1
-        for start, end in frags:
-            if start < 0 or end <= start:
-                raise ValueError(f"invalid fragment ({start}, {end})")
-            if start < prev_end:
-                raise ValueError("fragments must be sorted and non-overlapping")
-            prev_end = end
-        object.__setattr__(self, "fragments", frags)
-
-    @classmethod
-    def single(cls, start: int, end: int) -> "Span":
-        return cls(((start, end),))
-
-    @property
-    def start(self) -> int:
-        return self.fragments[0][0]
-
-    @property
-    def end(self) -> int:
-        return self.fragments[-1][1]
-
-    def overlaps(self, other: "Span") -> bool:
-        """True if any fragment of this span shares >= 1 character with any
-        fragment of ``other``."""
-        for a_start, a_end in self.fragments:
-            for b_start, b_end in other.fragments:
-                if a_start < b_end and b_start < a_end:
-                    return True
-        return False
-
-    def extract(self, text: str) -> str:
-        """Fragment substrings of ``text`` joined by a single space."""
-        if len(self.fragments) == 1:
-            start, end = self.fragments[0]
-            return text[start:end]
-        return " ".join(text[s:e] for s, e in self.fragments)
+def _covered(fragments: tuple[tuple[int, int], ...], text: str) -> str:
+    if len(fragments) == 1:
+        start, end = fragments[0]
+        return text[start:end]
+    return " ".join(text[s:e] for s, e in fragments)
 
 
 @dataclass(frozen=True, slots=True)
 class TextBound:
-    """An annotated span with a type label; it covers ``span.extract(doc.text)``."""
+    """An annotated span with a type label. Its fragments are sorted,
+    non-overlapping, half-open ``(start, end)`` offsets; a discontinuous
+    span has more than one."""
 
     id: str
     label: str
-    span: Span
+    fragments: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "fragments", _checked(self.fragments))
+
+    def covered(self, text: str) -> str:
+        """Fragment substrings of ``text`` joined by a single space."""
+        return _covered(self.fragments, text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,13 +251,13 @@ def _read_raw(path: str | Path) -> str:
 
 
 _new = object.__new__
-_set_fragments = Span.fragments.__set__
 _set_id = TextBound.id.__set__
 _set_label = TextBound.label.__set__
-_set_span = TextBound.span.__set__
+_set_fragments = TextBound.fragments.__set__
 
 
-def _parse_fragments(offsets: str, doc_id: str, line_no: int, shared: dict) -> Span:
+def _parse_fragments(offsets: str, doc_id: str, line_no: int,
+                     shared: dict) -> tuple[tuple[int, int], ...]:
     # int() raises ValueError on a token that is not an integer, and also on
     # one of more digits than the interpreter converts (4,300 by default).
     # ``shared`` maps each offset token int() accepted before to its int, so
@@ -295,15 +279,10 @@ def _parse_fragments(offsets: str, doc_id: str, line_no: int, shared: dict) -> S
     except ValueError:
         raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
     if len(fragments) == 1 and 0 <= start < end:
-        # One valid fragment, as BRAT writes nearly every span: the slot is
-        # set through its descriptor, which skips a check that Span would
-        # pass, and gives an equal record.
-        span = _new(Span)
-        _set_fragments(span, (fragments[0],))
-        return span
+        return (fragments[0],)  # one valid fragment, as BRAT writes nearly every span
     fragments.sort()
     try:
-        return Span(tuple(fragments))
+        return _checked(fragments)
     except ValueError as exc:
         raise StandoffError(f"invalid span {offsets!r}: {exc}", doc_id, line_no) from None
 
@@ -319,7 +298,7 @@ def parse_document(
 
     Resolution is two-pass, so event and attribute lines may precede the
     text-bounds they reference. A text-bound keeps no stated text; its
-    covered text is ``span.extract(doc_text)``. In lenient mode (the
+    covered text is ``tb.covered(doc_text)``. In lenient mode (the
     default), a stated text unlike the note is a warning, unsupported line
     kinds are skipped, and trigger-less events are admitted for the
     validator to report; strict mode turns all of those into errors.
@@ -365,12 +344,12 @@ def _parse(
             label, space, offsets = header.partition(" ")
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
-            span = _parse_fragments(offsets, doc_id, line_no, shared)
-            if span.end > text_len:
+            fragments = _parse_fragments(offsets, doc_id, line_no, shared)
+            if fragments[-1][1] > text_len:
                 raise StandoffError(
-                    f"span {span.fragments} exceeds text length {text_len}", doc_id, line_no
+                    f"span {fragments} exceeds text length {text_len}", doc_id, line_no
                 )
-            covered = span.extract(doc_text)
+            covered = _covered(fragments, doc_text)
             if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
@@ -379,11 +358,12 @@ def _parse(
                 fail_or_warn(message, line_no)
             if ann_id in text_bounds:
                 raise StandoffError(f"duplicate id {ann_id}", doc_id, line_no)
-            # Equal to TextBound(ann_id, label, span), without the frozen __init__
+            # Equal to TextBound(ann_id, label, fragments), without the frozen
+            # __init__ and the check the fragments have passed
             tb = _new(TextBound)
             _set_id(tb, ann_id)
             _set_label(tb, intern(label))
-            _set_span(tb, span)
+            _set_fragments(tb, fragments)
             text_bounds[ann_id] = tb
 
         elif kind == "E":
@@ -519,8 +499,8 @@ def serialize_document(doc: Document) -> str:
     """
     lines: list[str] = []
     for tb in sorted(doc.text_bounds.values(), key=lambda t: annotation_sort_key(t.id)):
-        offsets = ";".join(f"{s} {e}" for s, e in tb.span.fragments)
-        covered = _flatten_ws(tb.span.extract(doc.text))
+        offsets = ";".join(f"{s} {e}" for s, e in tb.fragments)
+        covered = _flatten_ws(tb.covered(doc.text))
         lines.append(f"{tb.id}\t{tb.label} {offsets}\t{covered}")
     for ev in sorted(doc.events.values(), key=lambda e: annotation_sort_key(e.id)):
         body = f"{ev.event_type}:{ev.trigger or ''}"

@@ -31,7 +31,6 @@ from .standoff import (
     Document,
     DocumentMetadata,
     EventAnnotation,
-    Span,
     TextBound,
     annotation_sort_key,
 )
@@ -169,7 +168,7 @@ class _DocBuilder:
     def text_bound(self, label: str, fragments: tuple[tuple[int, int], ...]) -> TextBound:
         self._t += 1
         tb_id = f"T{self._t}"
-        tb = TextBound(tb_id, label, Span(fragments))
+        tb = TextBound(tb_id, label, fragments)
         self.text_bounds[tb_id] = tb
         return tb
 
@@ -381,10 +380,10 @@ def expected_counts(gold: Corpus, edits: list[Edit], schema: AnnotationSchema) -
     return out
 
 
-def _widen_or_shrink(span: Span, text_len: int) -> Span | None:
-    """Move the last fragment's end by one character; None if neither
-    direction is possible (single-character fragment at text end)."""
-    fragments = list(span.fragments)
+def _widen_or_shrink(tb: TextBound, text_len: int) -> TextBound | None:
+    """``tb`` with its last fragment's end moved by one character; None if
+    neither direction is possible (single-character fragment at text end)."""
+    fragments = list(tb.fragments)
     start, end = fragments[-1]
     if end < text_len:
         fragments[-1] = (start, end + 1)
@@ -392,7 +391,7 @@ def _widen_or_shrink(span: Span, text_len: int) -> Span | None:
         fragments[-1] = (start, end - 1)
     else:
         return None
-    return Span(tuple(fragments))
+    return replace(tb, fragments=fragments)
 
 
 _WORD_RE = re.compile(r"\S{3,}")
@@ -474,13 +473,12 @@ def perturb(
             if event.trigger is not None and rng.random() < cfg.trigger_shift:
                 edit_tb(event.trigger)
                 tb = text_bounds[event.trigger]
-                start, end = tb.span.fragments[0]
+                start, end = tb.fragments[0]
                 if end - start >= 2:
                     shifted = (start + 1, end)
                 else:
                     shifted = (start, end + 1) if end < len(doc.text) else (start, end)
-                new_span = Span((shifted, *tb.span.fragments[1:]))
-                text_bounds[event.trigger] = replace(tb, span=new_span)
+                text_bounds[event.trigger] = replace(tb, fragments=(shifted, *tb.fragments[1:]))
                 edits.append(
                     Edit(doc_id=doc_id, op=OP_SHIFT, event_id=event.id, event_type=event.event_type)
                 )
@@ -492,9 +490,9 @@ def perturb(
                 if rng.random() < cfg.span_edit:
                     edit_tb(target)
                     tb = text_bounds[target]
-                    new_span = _widen_or_shrink(tb.span, len(doc.text))
-                    if new_span is not None:
-                        text_bounds[target] = replace(tb, span=new_span)
+                    edited = _widen_or_shrink(tb, len(doc.text))
+                    if edited is not None:
+                        text_bounds[target] = edited
                         edits.append(
                             Edit(
                                 doc_id=doc_id,
@@ -541,13 +539,13 @@ def perturb(
             kept_events[event.id] = event
 
         # Inserted spurious events: fresh trigger on unannotated words.
-        occupied = [f for tb in doc.text_bounds.values() for f in tb.span.fragments]
+        occupied = [f for tb in doc.text_bounds.values() for f in tb.fragments]
         free = _free_words(doc.text, occupied)
         for event_type in schema.event_types():
             if rng.random() < cfg.event_insert and free:
                 s, e = free.pop(0)
                 tb_id = _next_id(text_bounds, "T")
-                text_bounds[tb_id] = TextBound(tb_id, event_type, Span.single(s, e))
+                text_bounds[tb_id] = TextBound(tb_id, event_type, ((s, e),))
                 ev_id = _next_id(set(doc.events) | set(kept_events), "E")
                 kept_events[ev_id] = EventAnnotation(ev_id, event_type, tb_id, ())
                 edits.append(

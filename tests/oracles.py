@@ -47,7 +47,7 @@ MISSING = "<missing>"
 def _trigger_fragments(doc: Document, event) -> tuple | None:
     if event.trigger is None or event.trigger not in doc.text_bounds:
         return None
-    return doc.text_bounds[event.trigger].span.fragments
+    return doc.text_bounds[event.trigger].fragments
 
 
 def _document_order(doc: Document) -> list:
@@ -111,7 +111,7 @@ def _slots(doc: Document, event, schema: AnnotationSchema) -> list:
             subtype = values[-1] if values and values[-1] is not None else MISSING
             slots.append((("labeled_arg", event.event_type, arg.argument_type, subtype), subtype))
         else:
-            span = doc.text_bounds[target].span.fragments
+            span = doc.text_bounds[target].fragments
             slots.append((("span_only_arg", event.event_type, arg.argument_type, None), span))
     return slots
 

@@ -299,7 +299,7 @@ def test_criterion_6_round_trip(shac):
         )
         for doc in corpus:
             documents += 1
-            if any(len(tb.span.fragments) > 1 for tb in doc.text_bounds.values()):
+            if any(len(tb.fragments) > 1 for tb in doc.text_bounds.values()):
                 saw_discontinuous = True
             if any(len(e.arguments) > 1 for e in doc.events.values()):
                 saw_multi_argument = True

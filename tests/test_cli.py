@@ -15,7 +15,6 @@ from slotscore.schema import load_schema
 from slotscore.standoff import (
     AttributeAnnotation,
     Corpus,
-    Span,
     TextBound,
     load_corpus,
     write_corpus,
@@ -383,7 +382,7 @@ def _planted_corpus(schema):
                 a_id: a for a_id, a in doc.attributes.items() if a.target not in owned
             })
         elif doc.doc_id == "note0001":
-            dose = TextBound("T900", "Dose", Span.single(0, 3))
+            dose = TextBound("T900", "Dose", ((0, 3),))
             event = replace(first, arguments=(*first.arguments, ("Dose", "T900")))
             doc = replace(
                 doc,
@@ -565,3 +564,25 @@ def test_compare_warns_per_note_system_a_then_system_b(tmp_path):
         for doc_id in ("n1", "n2")
         for role in ("SysA", "GoldOnly", "SysB")
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_ok_and_silent(fixture_dirs, unbuffered):
+    # The reader is gone before the report is written, as in `... | true`.
+    # Unbuffered, the first write fails; buffered, the flush does.
+    gold_dir, pred_dir = fixture_dirs
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    for command in (["score", str(gold_dir), str(pred_dir)], ["validate", str(gold_dir)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "slotscore.cli", *command],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (EXIT_OK, ""), command

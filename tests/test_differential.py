@@ -30,7 +30,6 @@ from slotscore.standoff import (
     Corpus,
     Document,
     EventAnnotation,
-    Span,
     TextBound,
 )
 from test_analytics import brute_force_density
@@ -53,8 +52,7 @@ def _random_note(rng, schema: AnnotationSchema) -> Document:
 
     def text_bound(label):
         tb_id = f"T{len(text_bounds) + 1}"
-        span = Span(SPANS[int(rng.integers(len(SPANS)))])
-        text_bounds[tb_id] = TextBound(tb_id, label, span)
+        text_bounds[tb_id] = TextBound(tb_id, label, SPANS[int(rng.integers(len(SPANS)))])
         return tb_id
 
     def attribute(carrier, name):
@@ -108,8 +106,7 @@ def _perturbed(rng, doc: Document) -> Document:
         if rng.random() >= 0.15:
             return tb_id
         new_id = f"T{len(text_bounds) + 1}"
-        span = Span(SPANS[int(rng.integers(len(SPANS)))])
-        text_bounds[new_id] = TextBound(new_id, "Moved", span)
+        text_bounds[new_id] = TextBound(new_id, "Moved", SPANS[int(rng.integers(len(SPANS)))])
         return new_id
 
     for event in doc.events.values():
@@ -150,7 +147,7 @@ def _note_features(gold, pred, schema) -> Counter:
             seen["undeclared event type"] += schema.event(event.event_type) is None
             seen["undeclared role"] += "Weird" in roles
         seen["discontinuous span"] += any(
-            len(tb.span.fragments) > 1 for tb in doc.text_bounds.values()
+            len(tb.fragments) > 1 for tb in doc.text_bounds.values()
         )
     cells = reference_score(gold, pred, schema)
     seen["labeled tp"] += any(k[0] == "labeled_arg" and c[0] for k, c in cells.items())

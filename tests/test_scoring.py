@@ -17,6 +17,7 @@ from slotscore.scoring import (
     PhenomenonKey,
     ScoreCounts,
     ScoringError,
+    _overlaps,
     align_events,
     prf,
     score_corpus,
@@ -60,6 +61,15 @@ def _matched_count(gold, pred):
 def test_trigger_overlap_equivalence():
     # "cocaine" vs "cocaine use": overlapping spans, same type
     assert _matched_count(_trigger_only_doc([(10, 17)]), _trigger_only_doc([(10, 21)])) == 1
+
+
+def test_overlap_rule_needs_a_shared_character():
+    a, b = ((10, 17),), ((10, 21),)
+    assert _overlaps(a, b) and _overlaps(b, a)
+    assert not _overlaps(a, ((17, 21),))  # exclusive end: no shared char
+    disc = ((0, 4), (8, 12))
+    assert _overlaps(disc, ((9, 10),))
+    assert not _overlaps(disc, ((4, 8),))  # in the gap, touching both fragments
 
 
 def test_trigger_type_mismatch():

@@ -24,7 +24,6 @@ from slotscore.standoff import (
     Document,
     DocumentMetadata,
     EventAnnotation,
-    Span,
     StandoffError,
     TextBound,
     annotation_sort_key,
@@ -37,42 +36,38 @@ from slotscore.standoff import (
 from slotscore.testkit import GeneratorConfig, generate_gold
 
 
-def test_span_invariants():
-    with pytest.raises(ValueError):
-        Span(())
-    with pytest.raises(ValueError):
-        Span(((5, 5),))
-    with pytest.raises(ValueError):
-        Span(((-1, 4),))
-    with pytest.raises(ValueError):
-        Span(((0, 5), (3, 8)))  # overlapping fragments
-    s = Span(((0, 4), (6, 9)))
-    assert s.start == 0 and s.end == 9
+def test_text_bound_fragment_rules():
+    for fragments, message in (
+        ((), "a span needs at least one fragment"),
+        (((5, 5),), "invalid fragment (5, 5)"),
+        (((-1, 4),), "invalid fragment (-1, 4)"),
+        (((0, 5), (3, 8)), "fragments must be sorted and non-overlapping"),
+        (((6, 9), (0, 4)), "fragments must be sorted and non-overlapping"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            TextBound("T1", "Drug", fragments)
+        assert str(raised.value) == message
+    tb = TextBound("T1", "Drug", [(0, 4), (4, 6), (8, 9)])  # touching fragments are apart
+    assert tb.fragments == ((0, 4), (4, 6), (8, 9))
 
 
-def test_span_offsets_must_be_integers():
+def test_text_bound_offsets_must_be_integers():
     # A float or string offset is refused, not truncated or parsed into
     # another span; bool and numpy integers are integers.
     for fragment in ((0.5, 3.7), (0.0, 3.0), (1, 4.0), ("1", "4")):
         with pytest.raises(TypeError):
-            Span((fragment,))
-    for span, fragments in (
-        (Span(((np.int64(1), np.int32(4)),)), ((1, 4),)),
-        (Span(((False, True),)), ((0, 1),)),
+            TextBound("T1", "Drug", (fragment,))
+    for tb, fragments in (
+        (TextBound("T1", "Drug", ((np.int64(1), np.int32(4)),)), ((1, 4),)),
+        (TextBound("T1", "Drug", ((False, True),)), ((0, 1),)),
     ):
-        assert span.fragments == fragments
-        assert {type(offset) for offset in span.fragments[0]} == {int}
+        assert tb.fragments == fragments
+        assert {type(offset) for offset in tb.fragments[0]} == {int}
 
 
-def test_span_overlap_and_extract():
-    a = Span.single(10, 17)
-    b = Span.single(10, 21)
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(Span.single(17, 21))  # exclusive end: no shared char
-    disc = Span(((0, 4), (8, 12)))
-    assert disc.overlaps(Span.single(9, 10))
-    assert not disc.overlaps(Span.single(4, 8))
-    assert disc.extract("abcdefghijkl") == "abcd ijkl"
+def test_text_bound_covered_text():
+    assert TextBound("T1", "Drug", ((0, 4), (8, 12))).covered("abcdefghijkl") == "abcd ijkl"
+    assert TextBound("T1", "Drug", ((2, 5),)).covered("abcdefghijkl") == "cde"
 
 
 def test_parse_single_text_bound():
@@ -80,8 +75,8 @@ def test_parse_single_text_bound():
     doc = parse_document("T1\tDrug 10 17\tcocaine\n", text, "n1")
     tb = doc.text_bounds["T1"]
     assert tb.label == "Drug"
-    assert tb.span == Span.single(10, 17)
-    assert tb.span.extract(text) == "cocaine"
+    assert tb.fragments == ((10, 17),)
+    assert tb.covered(text) == "cocaine"
 
 
 def test_parse_discontinuous_fragments():
@@ -89,8 +84,8 @@ def test_parse_discontinuous_fragments():
     text = "xxxxheroinxxxxxinject"
     doc = parse_document("T2\tType 4 10;15 21\theroin inject\n", text, "n1")
     tb = doc.text_bounds["T2"]
-    assert tb.span.fragments == ((4, 10), (15, 21))
-    assert tb.span.extract(text) == "heroin inject"
+    assert tb.fragments == ((4, 10), (15, 21))
+    assert tb.covered(text) == "heroin inject"
 
 
 def test_parse_event_and_role_suffix():
@@ -162,7 +157,7 @@ def test_covered_text_mismatch_lenient_repairs_strict_rejects(caplog):
     ann = "T1\tDrug 0 7\tcoke\n"
     with caplog.at_level("WARNING"):
         doc = parse_document(ann, text, "n1")
-    assert doc.text_bounds["T1"].span.extract(doc.text) == "cocaine"
+    assert doc.text_bounds["T1"].covered(doc.text) == "cocaine"
     assert "mismatch" in caplog.text
     with pytest.raises(StandoffError):
         parse_document(ann, text, "n1", strict=True)
@@ -219,7 +214,7 @@ def test_serialize_numbers_repeated_roles():
 def test_serialize_flattens_newlines_in_covered_text():
     text = "coca\nine here"
     doc = parse_document("T1\tDrug 0 8\tcoca ine\n", text, "n1", strict=True)
-    assert doc.text_bounds["T1"].span.extract(doc.text) == "coca\nine"
+    assert doc.text_bounds["T1"].covered(doc.text) == "coca\nine"
     rt = parse_document(serialize_document(doc), text, "n1", strict=True)
     assert rt == doc
 
@@ -243,7 +238,7 @@ _LINE_BREAKERS = "\r\n\t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def test_line_separator_in_covered_text_round_trips(sep):
     text = f"coca{sep}ine here"
     doc = parse_document(f"T1\tDrug 0 8\tcoca{sep}ine\n", text, "n1", strict=True)
-    assert doc.text_bounds["T1"].span.extract(doc.text) == f"coca{sep}ine"
+    assert doc.text_bounds["T1"].covered(doc.text) == f"coca{sep}ine"
     assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
 
 
@@ -256,8 +251,8 @@ def test_round_trip_arbitrary_unicode_text(data):
     text_bounds = {}
     for i in range(1, data.draw(st.integers(1, 3)) + 1):
         bounds = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=5)))
-        span = Span(tuple(zip(bounds[0::2], bounds[1::2])))
-        text_bounds[f"T{i}"] = TextBound(f"T{i}", "Drug", span)
+        fragments = tuple(zip(bounds[0::2], bounds[1::2]))
+        text_bounds[f"T{i}"] = TextBound(f"T{i}", "Drug", fragments)
     doc = Document("n1", text, text_bounds=text_bounds)
     assert parse_document(serialize_document(doc), text, "n1", strict=True) == doc
 
@@ -272,12 +267,12 @@ def test_strict_parse_implies_identical_lenient_parse(shac):
 
 
 # ---------------------------------------------------------------------------
-# One T line against the public Span and the documented rules
+# One T line against the public TextBound and the documented rules
 # ---------------------------------------------------------------------------
 
 def _t_line_by_the_rules(offsets, stated, text, strict, ann_id="T1", label="Drug", sep=" "):
     """What the line ``<ann_id><TAB><label><sep><offsets><TAB><stated>`` must
-    give, worked out with the public ``Span`` alone: ``("error", message,
+    give, worked out with the public ``TextBound`` alone: ``("error", message,
     line_no)`` or ``("ok", text_bound, warnings)``."""
     # An .ann line loses one trailing CR. Its id runs to the first tab, its
     # header to the second, and the rest of it is the stated text.
@@ -303,12 +298,12 @@ def _t_line_by_the_rules(offsets, stated, text, strict, ann_id="T1", label="Drug
         except ValueError:
             return error(f"non-integer span offsets {offsets!r}")
     try:
-        span = Span(tuple(sorted(fragments)))
+        tb = TextBound(ann_id, label, tuple(sorted(fragments)))
     except ValueError as exc:
         return error(f"invalid span {offsets!r}: {exc}")
-    if span.end > len(text):
-        return error(f"span {span.fragments} exceeds text length {len(text)}")
-    covered = " ".join(text[s:e] for s, e in span.fragments)
+    if tb.fragments[-1][1] > len(text):
+        return error(f"span {tb.fragments} exceeds text length {len(text)}")
+    covered = " ".join(text[s:e] for s, e in tb.fragments)
     warnings = []
     flattened = covered.replace("\n", " ").replace("\r", " ").replace("\t", " ")
     # The covered text may also be stated as it is, unless it holds a CR.
@@ -317,7 +312,7 @@ def _t_line_by_the_rules(offsets, stated, text, strict, ann_id="T1", label="Drug
         if strict:
             return error(message)
         warnings.append(f"n1:1: {message}")
-    return ("ok", TextBound(ann_id, label, span), warnings)
+    return ("ok", tb, warnings)
 
 
 class _Warnings(logging.Handler):
@@ -462,7 +457,7 @@ def _offset_token(draw, text_len):
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_t_line_matches_public_span_on_drawn_offsets(data):
+def test_t_line_matches_public_text_bound_on_drawn_offsets(data):
     def pick(*options):
         return data.draw(st.sampled_from(options))
 
@@ -476,7 +471,7 @@ def test_t_line_matches_public_span_on_drawn_offsets(data):
     offsets = ";".join(fragments)
     strict = data.draw(st.booleans())
     expected = _t_line_by_the_rules(offsets, "", text, False, *header)
-    covered = expected[1].span.extract(text) if expected[0] == "ok" else ""
+    covered = expected[1].covered(text) if expected[0] == "ok" else ""
     stated = data.draw(
         st.sampled_from([covered, covered.replace("\r", " ").replace("\t", " "), covered + "\r"])
         | st.text(st.sampled_from("ab \t\ré"), max_size=6)
@@ -694,7 +689,7 @@ _KINDS_LINES = ("T1\tDrug 0 7\tcocaine", "E1\tDrug:T1", "A1\tNegated E1")
 _KINDS_DOC = Document(
     "n1",
     _KINDS_NOTE,
-    {"T1": TextBound("T1", "Drug", Span.single(0, 7))},
+    {"T1": TextBound("T1", "Drug", ((0, 7),))},
     {"E1": EventAnnotation("E1", "Drug", "T1")},
     {"A1": AttributeAnnotation("A1", "Negated", "E1")},
 )
@@ -747,32 +742,30 @@ def test_line_kinds_keep_their_skips_and_errors(other, lenient, strict_pin, stri
 
 
 def test_annotation_records_are_slotted():
-    span = Span(((0, 4), (6, 9)))
+    tb = TextBound("T1", "Drug", ((0, 4), (6, 9)))
     records = [
-        span,
-        TextBound("T1", "Drug", span),
+        tb,
         EventAnnotation("E1", "Drug", "T1", (("Status", "T2"),)),
         AttributeAnnotation("A1", "StatusTime", "T2", "current"),
     ]
-    assert TextBound.__slots__ == ("id", "label", "span")
+    assert TextBound.__slots__ == ("id", "label", "fragments")
     for record in records:
         assert not hasattr(record, "__dict__")
         copy = replace(record)
         assert copy == record and hash(copy) == hash(record)
-    assert replace(records[1], label="Type") != records[1]
-    assert replace(span, fragments=[(6, 9)]) == Span.single(6, 9)
+    assert replace(tb, label="Type") != tb
+    assert replace(tb, fragments=[(6, 9)]) == TextBound("T1", "Drug", ((6, 9),))
     with pytest.raises(ValueError):
-        replace(span, fragments=((4, 4),))
+        replace(tb, fragments=((4, 4),))
     # A text-bound built from one plain line equals, hashes and prints as the
     # public one.
     ann = "T1\tDrug 10 17\tcocaine\nT2\tDrug 0 7;10 17\tpatient cocaine\nE1\tDrug:T1 Type:T2\n"
     doc = parse_document(ann + "A1\tNegated E1\n", _NOTE, "n1")
-    parsed, public = doc.text_bounds["T1"], TextBound("T1", "Drug", Span.single(10, 17))
-    for record in (parsed, parsed.span):
-        assert not hasattr(record, "__dict__")
+    parsed, public = doc.text_bounds["T1"], TextBound("T1", "Drug", ((10, 17),))
+    assert not hasattr(parsed, "__dict__")
     assert parsed == public and hash(parsed) == hash(public) and repr(parsed) == repr(public)
-    assert parsed.span == public.span and hash(parsed.span) == hash(public.span)
-    assert type(parsed.span.fragments[0][0]) is int
+    assert parsed.fragments == public.fragments
+    assert type(parsed.fragments[0][0]) is int
     # A parsed document survives pickling and deep copying unchanged.
     for copy in (pickle.loads(pickle.dumps(doc)), deepcopy(doc)):
         assert copy == doc and repr(copy) == repr(doc)
@@ -840,10 +833,10 @@ def test_loading_shares_repeated_strings(tmp_path, shac):
                 assert_shared(tb.id)
                 assert_shared(tb.label)
                 assert hash(tb) == hash(made.text_bounds[tb.id])
-                for bound in chain.from_iterable(tb.span.fragments):
+                for bound in chain.from_iterable(tb.fragments):
                     assert offsets.setdefault(bound, bound) is bound, bound
             notes_with.update(
-                {bound for tb in doc.text_bounds.values() for frag in tb.span.fragments
+                {bound for tb in doc.text_bounds.values() for frag in tb.fragments
                  for bound in frag if bound > 256}
             )
             for ev in doc.events.values():
@@ -882,8 +875,8 @@ def test_loading_shares_repeated_strings(tmp_path, shac):
     for k in range(2):
         _write_note(tmp_path / "tokens", f"n{k}", text, ann)
     for doc in (parse_document(ann, text, "n0"), *load_corpus(tmp_path / "tokens")):
-        assert [tb.span for tb in doc.text_bounds.values()] == [
-            Span.single(0, int(token)) for token in tokens
+        assert [tb.fragments for tb in doc.text_bounds.values()] == [
+            ((0, int(token)),) for token in tokens
         ]
 
     # A bad offsets string after cached good tokens fails as it does alone.
@@ -901,13 +894,11 @@ def test_loading_shares_repeated_strings(tmp_path, shac):
 
 def test_load_corpus_traced_bytes_per_line_are_bounded(tmp_path, shac):
     # A dense load (20 notes, 20 events of every type in each) keeps, per
-    # annotation line and note texts included, 213.3 traced bytes under pytest
-    # on CPython 3.11 with numpy 2.4. Loading the same files outside pytest
-    # kept 225.7 on 3.10, 213.7 on 3.11, 213.2 on 3.12 and 213.3 on 3.13.
-    # Building an int per offset and a tuple per argument pair kept 258.5
-    # (3.12, 3.13) to 271.1 (3.10). The bound leaves 14 bytes over 3.10. The
-    # corpus is drawn through numpy's Generator; other numpy versions are
-    # unmeasured.
+    # annotation line and note texts included, 189.0 traced bytes under pytest
+    # on CPython 3.11.7 with numpy 2.4. A text-bound that wrapped its
+    # fragments in a separate span record kept 213.4 there; the bound sits
+    # between the two. Under pytest, 3.10, 3.12 and other numpy versions are
+    # unmeasured; the corpus is drawn through numpy's Generator.
     density = {event_type: {20: 1.0} for event_type in shac.event_types()}
     write_corpus(generate_gold(GeneratorConfig(seed=1, notes=20, density=density), shac), tmp_path)
     lines = sum(p.read_text(encoding="utf-8").count("\n") for p in tmp_path.glob("*.ann"))
@@ -920,7 +911,7 @@ def test_load_corpus_traced_bytes_per_line_are_bounded(tmp_path, shac):
     finally:
         tracemalloc.stop()
     assert len(corpus) == 20 and lines > 10_000
-    assert held <= 240 * lines, f"{held / lines:.1f} bytes per line"
+    assert held <= 210 * lines, f"{held / lines:.1f} bytes per line"
 
 
 def test_loading_shares_metadata_per_source_and_split(tmp_path):
@@ -1027,7 +1018,7 @@ def test_crlf_note_keeps_offsets(tmp_path, caplog):
 
     strict = load_corpus(tmp_path, strict=True)["n1"]
     assert strict.text == text
-    assert strict.text_bounds["T1"].span.extract(text) == "smokes"
+    assert strict.text_bounds["T1"].covered(text) == "smokes"
     with caplog.at_level("WARNING"):
         lenient = load_corpus(tmp_path)["n1"]
     assert lenient == strict
@@ -1049,7 +1040,7 @@ def test_bom_counts_as_code_point_zero(tmp_path):
 
     doc = load_corpus(tmp_path, strict=True)["n1"]
     assert doc.text == text and start == 9
-    assert doc.text_bounds["T1"].span.extract(doc.text) == "smokes"
+    assert doc.text_bounds["T1"].covered(doc.text) == "smokes"
     out = tmp_path / "out"
     write_corpus(load_corpus(tmp_path, strict=True), out)
     for name in ("n1.txt", "n1.ann"):
@@ -1311,7 +1302,7 @@ def test_lenient_covered_text_repair_never_moves_a_span(data):
     outcome = _parse_logged(f"T1\tDrug {offsets}\t{stated}\n", text, strict=False)
     assert outcome[0] == "ok"
     _, doc, warnings = outcome
-    assert doc.text_bounds["T1"].span.fragments == fragments
-    covered = Span(fragments).extract(text)
+    assert doc.text_bounds["T1"].fragments == fragments
+    covered = TextBound("T1", "Drug", fragments).covered(text)
     if stated != covered.replace("\r", " ").replace("\n", " ") and stated != covered:
         assert len(warnings) == 1 and "covered text mismatch for T1" in warnings[0]

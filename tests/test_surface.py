@@ -1,18 +1,17 @@
 """The public surface of ``slotscore`` may shrink or stay flat; growing it
 means changing these sets on purpose."""
 
-import inspect
 import pkgutil
 from types import ModuleType
 
 import slotscore
-from slotscore import scoring
+from slotscore import scoring, standoff
 
 PACKAGE_NAMES = {
     "AnnotationSchema", "ArgumentSpec", "AttributeAnnotation", "BootstrapConfig",
     "BootstrapResult", "Corpus", "CorpusStats", "DensityRow", "Document",
     "DocumentMetadata", "EventAlignment", "EventAnnotation", "EventSpec", "MetricReport",
-    "Metrics", "PhenomenonKey", "SchemaError", "ScoreCounts", "ScoringError", "Span",
+    "Metrics", "PhenomenonKey", "SchemaError", "ScoreCounts", "ScoringError",
     "StandoffError", "SubtypeRow", "TextBound", "Violation", "align_events",
     "bucket_label", "corpus_stats", "density_breakdown", "load_corpus", "load_schema",
     "load_schema_file", "paired_bootstrap", "parse_document", "score_corpus",
@@ -30,6 +29,13 @@ SCORING_DEFINITIONS = {
     "score_corpus", "score_document",
 }
 
+# One record per annotation kind: a text-bound holds its own fragments.
+STANDOFF_DEFINITIONS = {
+    "AttributeAnnotation", "Corpus", "Document", "DocumentMetadata", "EventAnnotation",
+    "MetadataRule", "StandoffError", "TextBound", "annotation_sort_key", "load_corpus",
+    "parse_document", "parse_manifest", "serialize_document", "write_corpus",
+}
+
 
 def test_package_public_names_are_pinned():
     # submodules are left out: which of them are attributes depends on what
@@ -42,11 +48,18 @@ def test_package_public_names_are_pinned():
     assert {m.name for m in pkgutil.iter_modules(slotscore.__path__)} == PACKAGE_MODULES
 
 
-def test_scoring_defines_no_new_public_function_or_class():
-    defined = {
-        name for name, obj in vars(scoring).items()
+def _public_definitions(module: ModuleType) -> set[str]:
+    return {
+        name for name, obj in vars(module).items()
         if not name.startswith("_")
-        and (inspect.isfunction(obj) or inspect.isclass(obj))
-        and obj.__module__ == scoring.__name__
+        and callable(obj)  # a function, a class or a cached function
+        and getattr(obj, "__module__", None) == module.__name__
     }
-    assert defined == SCORING_DEFINITIONS
+
+
+def test_scoring_defines_no_new_public_function_or_class():
+    assert _public_definitions(scoring) == SCORING_DEFINITIONS
+
+
+def test_standoff_defines_no_new_public_function_or_class():
+    assert _public_definitions(standoff) == STANDOFF_DEFINITIONS
