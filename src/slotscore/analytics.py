@@ -5,13 +5,16 @@ performance, and performance by event density (how many gold events of a
 type a note carries: 1, 2, or 3+). The breakdowns have no scoring rules or
 document walks of their own: the subtype table is the labeled-argument rows
 of ``score_corpus``'s report, and the density table is read from the
-scorer's plain per-note cells, with no ``PhenomenonKey`` made.
+scorer's plain per-note cells, with no ``PhenomenonKey`` made. Each view
+tallies straight into the table it reports and builds no record per note:
+the density table sums a note's cells per event type into plain lists, and
+the statistics look each labeled role up once per call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .schema import LABELED, AnnotationSchema
 from .scoring import (
@@ -20,6 +23,7 @@ from .scoring import (
     Counts,
     Metrics,
     _corpus_cells,
+    _new_cells,
     resolve_subtype,
     score_corpus,
 )
@@ -48,28 +52,44 @@ class CorpusStats:
 
 def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
     """Exact counts; averages are event count over note count."""
+    # Each labeled role, looked up once per call: {event type: {role: (spec,
+    # {subtype: count})}}. Keyed by event type and role, never by spec alone:
+    # specs compare by value, and several event types declare an equal one.
+    labeled = {
+        event_spec.event_type: {
+            role: (spec, {}) for role, spec in event_spec.roles.items() if spec.kind == LABELED
+        }
+        for event_spec in schema.events
+    }
     partitions: Counter = Counter()
-    events_by_type: Counter = Counter()
-    subtypes: Counter = Counter()
+    events_by_type: dict[str, int] = {}
 
     for doc_id in corpus.doc_ids():
         doc = corpus[doc_id]
         partitions[(doc.metadata.source, doc.metadata.split)] += 1
         attrs = doc.attribute_index()
         for event in doc.events.values():
-            events_by_type[event.event_type] += 1
-            event_spec = schema.event(event.event_type)
-            if event_spec is None:
+            event_type = event.event_type
+            events_by_type[event_type] = events_by_type.get(event_type, 0) + 1
+            roles = labeled.get(event_type)
+            if not roles:
                 continue
             for role, target in event.arguments:
-                spec = event_spec.roles.get(role)
-                if spec is None or spec.kind != LABELED:
+                found = roles.get(role)
+                if found is None:
                     continue
+                spec, counts = found
                 subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
-                subtypes[(event.event_type, spec.argument_type, subtype)] += 1
+                counts[subtype] = counts.get(subtype, 0) + 1
 
     n = len(corpus)
     averages = {t: c / n for t, c in sorted(events_by_type.items())} if n else {}
+    subtypes = {
+        (event_type, spec.argument_type, subtype): count
+        for event_type, roles in labeled.items()
+        for spec, counts in roles.values()
+        for subtype, count in counts.items()
+    }
     return CorpusStats(
         note_count=n,
         notes_by_partition=dict(sorted(partitions.items())),
@@ -122,13 +142,6 @@ class DensityRow:
     metrics: Metrics
 
 
-@dataclass
-class _DensityCell:
-    note_count: int = 0
-    gold_events: int = 0
-    counts: Counts = field(default_factory=Counts)
-
-
 def density_breakdown(
     gold: Corpus, pred: Corpus, schema: AnnotationSchema
 ) -> list[DensityRow]:
@@ -139,39 +152,46 @@ def density_breakdown(
     restricted to the type, spurious predictions included. Notes with no
     gold events and no predictions of a type contribute nothing to it.
     """
-    cells: dict[tuple[str, str], _DensityCell] = {}
+    # (event type, bucket) -> [notes, gold events, tp, fn, fp]
+    table: dict[tuple[str, str], list[int]] = {}
 
-    for _, (note,) in _corpus_cells(gold, (pred,), schema):
-        # The note's tallies summed per event type, in one pass over its cells.
-        totals: dict[str, Counts] = {}
-        gold_count: dict[str, int] = {}
-        for (kind, event_type, _, _), (tp, fn, fp) in note.items():
+    for _, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema):
+        # The note's tallies summed per event type, [gold events, tp, fn, fp],
+        # in one pass over its cells.
+        totals: dict[str, list[int]] = {}
+        for (kind, event_type, _, _), (tp, fn, fp) in tally(pred_doc, _new_cells()).items():
             total = totals.get(event_type)
             if total is None:
-                total = totals[event_type] = Counts()
-            total.tp += tp
-            total.fn += fn
-            total.fp += fp
+                total = totals[event_type] = [0, tp, fn, fp]
+            else:
+                total[1] += tp
+                total[2] += fn
+                total[3] += fp
             # Every gold event fills its trigger slot once, as a tp or an fn,
             # trigger-less and undeclared-type events included.
             if kind == TRIGGER:
-                gold_count[event_type] = tp + fn
-        for event_type, total in totals.items():
-            n = gold_count.get(event_type, 0)
-            cell = cells.setdefault((event_type, bucket_label(n)), _DensityCell())
-            cell.note_count += 1
-            cell.gold_events += n
-            cell.counts += total
+                total[0] = tp + fn
+        for event_type, (n, tp, fn, fp) in totals.items():
+            key = (event_type, bucket_label(n))
+            row = table.get(key)
+            if row is None:
+                table[key] = [1, n, tp, fn, fp]
+            else:
+                row[0] += 1
+                row[1] += n
+                row[2] += tp
+                row[3] += fn
+                row[4] += fp
 
     rows = [
         DensityRow(
             event_type=event_type,
             bucket=bucket,
-            note_count=cell.note_count,
-            gold_events=cell.gold_events,
-            metrics=Metrics.from_counts(cell.counts),
+            note_count=notes,
+            gold_events=gold_events,
+            metrics=Metrics.from_counts(Counts(tp, fn, fp)),
         )
-        for (event_type, bucket), cell in cells.items()
+        for (event_type, bucket), (notes, gold_events, tp, fn, fp) in table.items()
     ]
     rows.sort(key=lambda r: (r.event_type, DENSITY_BUCKETS.index(r.bucket)))
     return rows

@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--dump-deltas", metavar="PATH",
                        help="write every resample F1 delta, one per line")
     _add_report_options(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, parser=p_cmp)
 
     p_stats = sub.add_parser("stats", help="corpus statistics")
     p_stats.add_argument("corpus", help="corpus directory")
@@ -150,13 +150,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = BootstrapConfig(repetitions=args.reps, seed=args.seed, alpha=args.alpha)
     schema = _schema_from(args)
     gold = load_corpus(args.gold, strict=args.strict)
     pred_a = load_corpus(args.pred_a, strict=args.strict)
     pred_b = load_corpus(args.pred_b, strict=args.strict)
     result = paired_bootstrap(
-        gold, pred_a, pred_b, schema, cfg, keep_deltas=bool(args.dump_deltas)
+        gold, pred_a, pred_b, schema, args.bootstrap, keep_deltas=bool(args.dump_deltas)
     )
     header = _header(args, seed=result.seed, repetitions=result.repetitions)
     _emit(args, reports.render(
@@ -227,6 +226,13 @@ def cmd_gen(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "compare":
+            # BootstrapConfig owns the rules for these options; a value it
+            # refuses is a usage error, found before any corpus is read.
+            try:
+                args.bootstrap = BootstrapConfig(args.reps, args.seed, args.alpha)
+            except (ValueError, TypeError) as exc:
+                args.parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()), stream=sys.stderr)

@@ -257,12 +257,31 @@ class Violation:
     message: str
 
 
+def _event_rules(schema: AnnotationSchema) -> dict[str, tuple[dict, tuple[ArgumentSpec, ...]]]:
+    """Every declared event type's rules, looked up once per validation call:
+    ``{event type: ({role: (spec, subtype vocabulary as a set)}, required
+    specs)}``. Keyed by event type and role, never by spec alone: specs
+    compare by value, and several event types declare an equal one."""
+    return {
+        event_spec.event_type: (
+            {role: (spec, frozenset(spec.subtypes)) for role, spec in event_spec.roles.items()},
+            event_spec.required_arguments(),
+        )
+        for event_spec in schema.events
+    }
+
+
 def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation]:
     """Check a document against the schema; violations are data, not errors.
 
     Returned violations are stable-ordered by annotation id, then rule.
     The document is never mutated.
     """
+    return _validate(doc, schema, _event_rules(schema))
+
+
+def _validate(doc: Document, schema: AnnotationSchema, rules: dict) -> list[Violation]:
+    """``validate_document`` over the schema's ``_event_rules``."""
     violations: list[Violation] = []
 
     def report(annotation_id: str, rule: str, message: str) -> None:
@@ -273,23 +292,25 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
     attrs = doc.attribute_index()
 
     for event in doc.events.values():
-        spec = schema.event(event.event_type)
-        if spec is None:
+        event_rules = rules.get(event.event_type)
+        if event_rules is None:
             report(event.id, RULE_EVENT_TYPE, f"event type {event.event_type} is not declared")
             continue
+        roles, required = event_rules
         if event.trigger is None or event.trigger not in doc.text_bounds:
             report(event.id, RULE_TRIGGER, f"event {event.id} has no resolvable trigger")
 
         seen_roles: set[str] = set()
         for role, target in event.arguments:
-            arg_spec = spec.roles.get(role)
-            if arg_spec is None:
+            found = roles.get(role)
+            if found is None:
                 report(
                     event.id,
                     RULE_ROLE,
                     f"role {role} is not declared for event type {event.event_type}",
                 )
                 continue
+            arg_spec, vocabulary = found
             seen_roles.add(role)
             tb = doc.text_bounds.get(target)
             if tb is not None and tb.label != arg_spec.argument_type:
@@ -309,14 +330,14 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
                         f"labeled argument {arg_spec.argument_type} on {event.id} has no "
                         f"{arg_spec.attribute_name} attribute",
                     )
-                elif attr.value not in arg_spec.subtypes:
+                elif attr.value not in vocabulary:
                     report(
                         attr.id,
                         RULE_SUBTYPE_VOCAB,
                         f"subtype {attr.value!r} is not in the {arg_spec.argument_type} vocabulary",
                     )
 
-        for arg_spec in spec.required_arguments():
+        for arg_spec in required:
             if arg_spec.role not in seen_roles:
                 report(
                     event.id,
@@ -337,7 +358,8 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
 
 
 def validate_corpus(corpus, schema: AnnotationSchema) -> list[Violation]:
+    rules = _event_rules(schema)
     out: list[Violation] = []
     for doc_id in corpus.doc_ids():
-        out.extend(validate_document(corpus[doc_id], schema))
+        out.extend(_validate(corpus[doc_id], schema, rules))
     return out

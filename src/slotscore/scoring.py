@@ -12,11 +12,13 @@ A gold note is prepared once for every prediction scored against it: its
 events are sorted, its attribute index is built, and each gold event's
 slots are built on first use and kept. Each prediction's events are then
 sorted and matched to gold's by the one alignment core that
-``align_events`` also wraps, and the walk fills plain cells, ``(kind,
-event type, argument type, subtype) -> [tp, fn, fp]``. ``_corpus_cells``
-makes one pass over gold for any number of predictions. Every corpus-level
-view folds its cells: ``score_corpus`` here and the density table with one
-prediction, the bootstrap's per-note totals with both systems at once. A
+``align_events`` also wraps, and the walk adds into a table of plain cells,
+``(kind, event type, argument type, subtype) -> [tp, fn, fp]``, that the
+caller passes. ``_corpus_cells`` makes one pass over gold for any number of
+predictions, and each corpus-level view tallies into the table it reports:
+``score_corpus`` (and so the subtype table) puts every note into one corpus
+table; ``per_document_counts``, the density table and the bootstrap's
+per-note totals give each note a table of its own. A
 ``PhenomenonKey`` is made once per key, and only where a ``ScoreCounts`` is
 returned.
 
@@ -393,13 +395,20 @@ def _check_pair(gold: Document, pred: Document) -> None:
         )
 
 
+def _new_cells() -> defaultdict[tuple, list[int]]:
+    """An empty table of plain cells: a key first tallied starts at [0, 0, 0]."""
+    return defaultdict(partial(list, (0, 0, 0)))
+
+
 def _gold_note(
     gold: Document, table: dict[str, tuple], schema: AnnotationSchema
-) -> Callable[[Document], dict[tuple, list[int]]]:
+) -> Callable[[Document, dict[tuple, list[int]]], dict[tuple, list[int]]]:
     """Prepare one gold note for any number of predictions, and return the
     function that tallies one of them (already checked by ``_check_pair``)
-    as plain cells: ``{(kind, event type, argument type, subtype): [tp, fn,
-    fp]}``, in the order first tallied.
+    into a table of plain cells, ``{(kind, event type, argument type,
+    subtype): [tp, fn, fp]}`` (``_new_cells``), and returns that table. Keys
+    the table lacks are added in the order first tallied, so a table shared
+    by every note of a corpus holds each key where the walk first met it.
 
     Gold's events are sorted and its attribute index built here, once. Each
     gold event's slots are built on first use and kept by event id, so the
@@ -414,10 +423,9 @@ def _gold_note(
             slots = kept[event.id] = _slots(gold, event, table, schema, attrs)
         return slots
 
-    def cells_of(pred: Document) -> dict[tuple, list[int]]:
+    def tally(pred: Document, cells: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
         matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
         pred_attrs = pred.attribute_index()
-        cells: defaultdict[tuple, list[int]] = defaultdict(partial(list, (0, 0, 0)))
         for g_event, p_event in matched:
             pred_slots = _slots(pred, p_event, table, schema, pred_attrs)
             g_slots = gold_slots(g_event)
@@ -441,7 +449,7 @@ def _gold_note(
                 cells[key][2] += 1
         return cells
 
-    return cells_of
+    return tally
 
 
 def _score_counts(cells: dict[tuple, list[int]]) -> ScoreCounts:
@@ -458,15 +466,18 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     order, pred before gold within a pair. Raises ScoringError when the
     notes differ in doc_id or in text."""
     _check_pair(gold, pred)
-    return _score_counts(_gold_note(gold, _role_table(schema), schema)(pred))
+    return _score_counts(_gold_note(gold, _role_table(schema), schema)(pred, _new_cells()))
 
 
 def _corpus_cells(
     gold: Corpus, preds: Sequence[Corpus], schema: AnnotationSchema
-) -> Iterator[tuple[str, list[dict[tuple, list[int]]]]]:
-    """``(doc_id, [plain cells per prediction])`` for every gold note, in
-    sorted doc_id order: one pass over gold, each note prepared once
-    (``_gold_note``) and tallied against every prediction in input order.
+) -> Iterator[tuple[str, Callable, list[Document]]]:
+    """``(doc_id, tally, [predicted note per prediction])`` for every gold
+    note, in sorted doc_id order: one pass over gold, each note prepared once
+    (``_gold_note``). The caller runs ``tally(pred_doc, cells)`` for each
+    prediction in input order, into the table of plain cells its view
+    reports: one table for the corpus, or a fresh one (``_new_cells``) per
+    note.
 
     Before any note is scored, each prediction is checked in input order:
     a predicted note absent from gold is an error, then a note whose text
@@ -486,14 +497,13 @@ def _corpus_cells(
     table = _role_table(schema)
     for doc_id in doc_ids:
         gold_doc = gold_docs[doc_id]
-        cells_of = _gold_note(gold_doc, table, schema)
-        note = []
+        pred_docs = []
         for pred in preds:
             pred_doc = pred.documents.get(doc_id)
             if pred_doc is None:
                 pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
-            note.append(cells_of(pred_doc))
-        yield doc_id, note
+            pred_docs.append(pred_doc)
+        yield doc_id, _gold_note(gold_doc, table, schema), pred_docs
 
 
 def per_document_counts(
@@ -505,8 +515,8 @@ def per_document_counts(
     pred score against an empty prediction.
     """
     return {
-        doc_id: _score_counts(cells)
-        for doc_id, (cells,) in _corpus_cells(gold, (pred,), schema)
+        doc_id: _score_counts(tally(pred_doc, _new_cells()))
+        for doc_id, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema)
     }
 
 
@@ -514,17 +524,10 @@ def score_corpus(
     gold: Corpus, pred: Corpus, schema: AnnotationSchema
 ) -> tuple[ScoreCounts, MetricReport]:
     """Corpus tallies (summed over notes) and their micro-averaged report.
-    The notes' plain cells are summed in first-seen order, so each key is
-    made once."""
-    total: dict[tuple, list[int]] = {}
-    for _, (cells,) in _corpus_cells(gold, (pred,), schema):
-        for key, (tp, fn, fp) in cells.items():
-            cell = total.get(key)
-            if cell is None:
-                total[key] = [tp, fn, fp]
-            else:
-                cell[0] += tp
-                cell[1] += fn
-                cell[2] += fp
+    Every note tallies into one table of plain cells, so each key is made
+    once and sits where the walk first met it."""
+    total = _new_cells()
+    for _, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema):
+        tally(pred_doc, total)
     counts = _score_counts(total)
     return counts, MetricReport.from_counts(counts)

@@ -40,7 +40,7 @@ from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
-from .scoring import _corpus_cells, prf
+from .scoring import _corpus_cells, _new_cells, prf
 from .standoff import Corpus
 
 if TYPE_CHECKING:
@@ -97,11 +97,11 @@ def _note_totals(
     import numpy as np
 
     rows = []
-    for _, note in _corpus_cells(gold, preds, schema):
+    for _, tally, pred_docs in _corpus_cells(gold, preds, schema):
         row = []
-        for cells in note:
+        for pred_doc in pred_docs:
             tp = fn = fp = 0
-            for cell in cells.values():
+            for cell in tally(pred_doc, _new_cells()).values():
                 tp += cell[0]
                 fn += cell[1]
                 fp += cell[2]

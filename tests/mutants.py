@@ -1,0 +1,187 @@
+"""Mutation checks: each entry breaks one rule of the package in a temporary
+copy of ``src/`` and runs the tests that should notice.
+
+    python3 tests/mutants.py            # every entry
+    python3 tests/mutants.py NAME ...   # the named entries only
+
+Stdlib only, and not collected by pytest (its name does not start with
+``test_``). An entry names a file under ``src/slotscore``, an exact source
+text that must occur there once, its replacement, the pytest arguments to
+run, and the expected outcome: killed (some test fails), or equivalent, with
+the reason no test can tell the mutant from the package. The run fails, and
+names the entry, when a source text no longer occurs exactly once (so a
+change that moves the code must carry its mutants along), when a mutant
+expected to be killed survives, when an equivalent one is killed, or when
+pytest cannot run the tests at all. The tests first run once on an unmutated
+copy. Exit code 0 when every entry holds, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/slotscore
+    source: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+    equivalent: str | None = None  # why no test can kill it; None: expected killed
+
+
+MUTANTS = (
+    Mutant(
+        "equal-slot-shortcut-tallies-fn",
+        "scoring.py",
+        "            if pred_slots == g_slots:  # all tp, as the loop below would find\n"
+        "                for key, _ in g_slots:\n"
+        "                    cells[key][0] += 1\n",
+        "            if pred_slots == g_slots:  # all tp, as the loop below would find\n"
+        "                for key, _ in g_slots:\n"
+        "                    cells[key][1] += 1\n",
+        ("tests/test_differential.py",),
+    ),
+    Mutant(
+        "trigger-overlap-counts-touching-spans",
+        "scoring.py",
+        "            if a_start < b_end and b_start < a_end:\n",
+        "            if a_start <= b_end and b_start <= a_end:\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        "density-bucket-3-plus-starts-at-4",
+        "analytics.py",
+        "    if gold_event_count >= 3:\n",
+        "    if gold_event_count > 3:\n",
+        ("tests/test_analytics.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "density-gold-count-is-tp-only",
+        "analytics.py",
+        "                total[0] = tp + fn\n",
+        "                total[0] = tp\n",
+        ("tests/test_differential.py", "tests/test_analytics.py"),
+    ),
+    Mutant(
+        # Specs compare by value: Alcohol's, Drug's and Tobacco's StatusTime
+        # specs are one key, so their subtype counts would merge.
+        "stats-keyed-by-spec-alone",
+        "analytics.py",
+        "    labeled = {\n"
+        "        event_spec.event_type: {\n"
+        "            role: (spec, {}) for role, spec in event_spec.roles.items()"
+        " if spec.kind == LABELED\n",
+        "    by_spec: dict = {}\n"
+        "    labeled = {\n"
+        "        event_spec.event_type: {\n"
+        "            role: (spec, by_spec.setdefault(spec, {}))\n"
+        "            for role, spec in event_spec.roles.items() if spec.kind == LABELED\n",
+        ("tests/test_differential.py", "tests/test_analytics.py"),
+    ),
+    Mutant(
+        "vocabulary-check-inverted",
+        "schema.py",
+        "                elif attr.value not in vocabulary:\n",
+        "                elif attr.value in vocabulary:\n",
+        ("tests/test_schema.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        "align-early-stop-past-gold-end",
+        "scoring.py",
+        "            if p_start >= g_end:\n",
+        "            if p_start > g_end:\n",
+        ("tests/test_scoring.py", "tests/test_differential.py", "tests/test_acceptance.py"),
+        equivalent=(
+            "a predicted trigger that starts where gold's ends shares no character "
+            "with it (ends are exclusive), nor does any later one in the sorted "
+            "bucket, so the longer scan matches nothing more; only the scan grows"
+        ),
+    ),
+)
+
+
+def _copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    """pytest's exit code on ``tests`` with the package imported from ``src``
+    (the ini's ``pythonpath`` is pointed there, and so is PYTHONPATH, which
+    child processes of the tests read), and the first failing test's id."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "-o", f"pythonpath={src}", *tests,
+    ]
+    run = subprocess.run(
+        command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+    )
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failed[0] if failed else ""
+
+
+def _check(mutant: Mutant) -> tuple[str | None, str]:
+    """(None when the mutant behaves as its entry says, else what went
+    wrong; the test that killed it, if one did)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = _copy_src(Path(tmp))
+        path = src / "slotscore" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        found = text.count(mutant.source)
+        if found != 1:
+            return f"its source text occurs {found} times in {mutant.file}, not once", ""
+        path.write_text(text.replace(mutant.source, mutant.replacement), encoding="utf-8")
+        code, killer = _pytest(src, mutant.tests)
+    if code not in (0, 1):
+        return f"pytest exited {code}: the tests did not run to a verdict", ""
+    killed = code == 1
+    if mutant.equivalent is None and not killed:
+        return "survived; a test should kill it", ""
+    if mutant.equivalent is not None and killed:
+        return "killed, though its entry says it is equivalent", killer
+    return None, killer
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        code, _ = _pytest(_copy_src(Path(tmp)), tests)
+    if code != 0:
+        print(f"the tests fail (pytest exit {code}) on an unmutated copy: {' '.join(tests)}")
+        return 1
+    failures = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        problem, killer = _check(mutant)
+        seconds = time.perf_counter() - start
+        outcome = "equivalent" if mutant.equivalent else f"killed by {killer}"
+        if problem is None:
+            print(f"ok    {mutant.name}: {outcome} ({seconds:.1f} s)")
+        else:
+            failures += 1
+            print(f"FAIL  {mutant.name}: {problem} {killer} ({seconds:.1f} s)".rstrip())
+    print(f"{len(chosen) - failures} of {len(chosen)} mutant(s) as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

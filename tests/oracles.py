@@ -17,6 +17,13 @@ per-type buckets. It is slow on purpose and meant for small notes.
 rule, against which the greedy aligner's losses are counted on the random
 note pairs of ``generate_alignment_case``.
 
+``reference_stats`` and ``reference_validate`` restate ``corpus_stats`` and
+``validate_corpus`` from the schema's declared rules alone: they scan
+``schema.events`` and each event type's ``arguments`` lists, and find a
+subtype by scanning the note's attributes for the carrier the schema's
+``attributes_on_events`` names. They use no role table, no ``subtype_key``,
+no attribute index and no walker of the package.
+
 ``reference_load_corpus`` finds a corpus's notes with pathlib: an
 ``iterdir`` walk that finds unlistable directories, two ``rglob`` walks, an
 ``is_dir()`` per name found and ``Path`` sorting.
@@ -30,7 +37,19 @@ from pathlib import Path
 
 import numpy as np
 
-from slotscore.schema import LABELED, AnnotationSchema
+from slotscore.schema import (
+    LABELED,
+    RULE_ARG_TYPE,
+    RULE_ATTRIBUTE,
+    RULE_EVENT_TYPE,
+    RULE_REQUIRED,
+    RULE_ROLE,
+    RULE_SUBTYPE_MISSING,
+    RULE_SUBTYPE_VOCAB,
+    RULE_TRIGGER,
+    AnnotationSchema,
+    Violation,
+)
 from slotscore.standoff import (
     Corpus,
     Document,
@@ -143,6 +162,111 @@ def reference_score(gold: Document, pred: Document, schema: AnnotationSchema) ->
         for slot in _slots(pred, p, schema):
             bump(slot[0], 2)
     return {key: tuple(cell) for key, cell in table.items()}
+
+
+# ---------------------------------------------------------------------------
+# Statistics and validation
+# ---------------------------------------------------------------------------
+
+def _declared(schema: AnnotationSchema, event_type: str):
+    """The declared argument list of ``event_type``, or None if undeclared."""
+    for spec in schema.events:
+        if spec.event_type == event_type:
+            return spec.arguments
+    return None
+
+
+def _carrier_attribute(doc: Document, event, target: str, arg, schema: AnnotationSchema):
+    """The attribute naming ``arg``'s subtype: the last one written on the
+    carrier (the event or the argument's text-bound), or None."""
+    carrier = event.id if schema.attributes_on_events else target
+    found = [a for a in doc.attributes.values()
+             if a.target == carrier and a.name == arg.attribute_name]
+    return found[-1] if found else None
+
+
+def reference_stats(corpus: Corpus, schema: AnnotationSchema) -> dict:
+    """``corpus_stats``'s fields as a dict, each table in sorted key order."""
+    notes = [corpus[doc_id] for doc_id in corpus.doc_ids()]
+    partitions, events, subtypes = {}, {}, {}
+
+    def count(table, key):
+        table[key] = table.get(key, 0) + 1
+
+    for doc in notes:
+        count(partitions, (doc.metadata.source, doc.metadata.split))
+        for event in doc.events.values():
+            count(events, event.event_type)
+            for role, target in event.arguments:
+                arg = [a for a in _declared(schema, event.event_type) or () if a.role == role]
+                if not arg or arg[0].kind != LABELED:
+                    continue
+                attr = _carrier_attribute(doc, event, target, arg[0], schema)
+                subtype = MISSING if attr is None or attr.value is None else attr.value
+                count(subtypes, (event.event_type, arg[0].argument_type, subtype))
+    return {
+        "note_count": len(notes),
+        "notes_by_partition": dict(sorted(partitions.items())),
+        "events_by_type": dict(sorted(events.items())),
+        "avg_events_per_note": {t: c / len(notes) for t, c in sorted(events.items())},
+        "subtype_frequencies": dict(sorted(subtypes.items())),
+    }
+
+
+def reference_validate(corpus: Corpus, schema: AnnotationSchema) -> list:
+    """Every note's violations in doc_id order, each note's ordered by
+    annotation id, then rule, then as found."""
+    out = []
+    for doc_id in corpus.doc_ids():
+        doc = corpus[doc_id]
+        found, sanctioned = [], []
+
+        def report(annotation_id, rule, message):
+            found.append(Violation(doc_id, annotation_id, rule, message))
+
+        for event in doc.events.values():
+            arguments = _declared(schema, event.event_type)
+            if arguments is None:
+                report(event.id, RULE_EVENT_TYPE,
+                       f"event type {event.event_type} is not declared")
+                continue
+            if event.trigger not in doc.text_bounds:
+                report(event.id, RULE_TRIGGER, f"event {event.id} has no resolvable trigger")
+            roles = []
+            for role, target in event.arguments:
+                arg = [a for a in arguments if a.role == role]
+                if not arg:
+                    report(event.id, RULE_ROLE,
+                           f"role {role} is not declared for event type {event.event_type}")
+                    continue
+                arg = arg[0]
+                roles.append(role)
+                if target in doc.text_bounds and doc.text_bounds[target].label != arg.argument_type:
+                    report(event.id, RULE_ARG_TYPE,
+                           f"argument {target} has label {doc.text_bounds[target].label}, "
+                           f"expected {arg.argument_type}")
+                if arg.kind != LABELED:
+                    continue
+                carrier = event.id if schema.attributes_on_events else target
+                sanctioned.append((carrier, arg.attribute_name))
+                attr = _carrier_attribute(doc, event, target, arg, schema)
+                if attr is None or attr.value is None:
+                    report(event.id, RULE_SUBTYPE_MISSING,
+                           f"labeled argument {arg.argument_type} on {event.id} has no "
+                           f"{arg.attribute_name} attribute")
+                elif attr.value not in arg.subtypes:
+                    report(attr.id, RULE_SUBTYPE_VOCAB,
+                           f"subtype {attr.value!r} is not in the {arg.argument_type} vocabulary")
+            for arg in arguments:
+                if arg.required and arg.role not in roles:
+                    report(event.id, RULE_REQUIRED,
+                           f"event {event.id} is missing required argument {arg.argument_type}")
+        for attr in doc.attributes.values():
+            if (attr.target, attr.name) not in sanctioned:
+                report(attr.id, RULE_ATTRIBUTE,
+                       f"attribute {attr.name} on {attr.target} is not sanctioned by the schema")
+        out += sorted(found, key=lambda v: (annotation_sort_key(v.annotation_id), v.rule))
+    return out
 
 
 # ---------------------------------------------------------------------------

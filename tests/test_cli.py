@@ -158,11 +158,17 @@ def test_compare_dump_deltas(fixture_dirs, tmp_path, capsys):
 
 
 def test_compare_rejects_bad_seed_before_loading(tmp_path, capsys):
+    # Out-of-range options are usage errors, as malformed ones are.
     missing = str(tmp_path / "missing")
-    for seed in ("-1", str(2**128)):
-        assert main(["compare", missing, missing, missing, "--seed", seed]) == EXIT_DATA
+    for option, value, message in (
+        ("--seed", "-1", "seed must be in [0, 2**128)"),
+        ("--seed", str(2**128), "seed must be in [0, 2**128)"),
+        ("--reps", "0", "repetitions must be >= 1"),
+        ("--alpha", "1", "alpha must be in (0, 1)"),
+    ):
+        assert main(["compare", missing, missing, missing, option, value]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "seed must be in [0, 2**128)" in err and "missing" not in err
+        assert err.startswith("usage: ") and message in err and "missing" not in err
 
 
 def _env() -> dict:

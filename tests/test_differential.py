@@ -4,18 +4,19 @@ repeated roles, arguments sharing a span, discontinuous spans, missing and
 out-of-vocabulary subtypes, undeclared roles and event types, and events
 without a resolvable trigger. On corpora of such notes, the corpus-level
 views (``score_corpus``, the bootstrap's per-note totals and the density
-table) agree with the per-note tallies and with the density oracle, and
-scoring two systems in one pass over gold equals scoring each on its own."""
+table) agree with the per-note tallies and with the density oracle,
+scoring two systems in one pass over gold equals scoring each on its own,
+and the statistics and validation reports equal their oracles'."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from oracles import reference_align, reference_score
-from slotscore.analytics import density_breakdown
-from slotscore.schema import LABELED, AnnotationSchema
+from oracles import reference_align, reference_score, reference_stats, reference_validate
+from slotscore.analytics import corpus_stats, density_breakdown
+from slotscore.schema import LABELED, AnnotationSchema, validate_corpus
 from slotscore.scoring import (
     ScoreCounts,
     align_events,
@@ -26,9 +27,12 @@ from slotscore.scoring import (
 )
 from slotscore.significance import BootstrapConfig, _note_totals, paired_bootstrap
 from slotscore.standoff import (
+    SOURCES,
+    SPLITS,
     AttributeAnnotation,
     Corpus,
     Document,
+    DocumentMetadata,
     EventAnnotation,
     TextBound,
 )
@@ -228,6 +232,31 @@ def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
     for feature in ("undeclared role", "undeclared event type", "trigger-less event",
                     "missing subtype"):
         assert seen[feature] >= 10, seen
+
+
+@pytest.mark.parametrize("attributes_on_events", [False, True])
+def test_stats_and_validation_agree_with_reference(shac, attributes_on_events):
+    # The random notes hold undeclared event types and roles, missing and
+    # out-of-vocabulary subtypes, and attributes on the carrier the schema
+    # does not read; StatusTime is declared, equal, on Drug and Alcohol.
+    schema = AnnotationSchema(shac.events, shac.version, attributes_on_events)
+    rng = np.random.default_rng(1107 + attributes_on_events)
+    rules = Counter()
+    for _ in range(4):
+        for corpus in _random_corpora(rng, schema, notes=40):
+            spread = Corpus()
+            for doc in corpus:
+                metadata = DocumentMetadata(SOURCES[int(rng.integers(len(SOURCES)))],
+                                            SPLITS[int(rng.integers(len(SPLITS)))])
+                spread.add(replace(doc, metadata=metadata))
+            # repr, so that each table's key order counts too
+            assert repr(asdict(corpus_stats(spread, schema))) == repr(
+                reference_stats(spread, schema)
+            )
+            violations = validate_corpus(spread, schema)
+            assert violations == reference_validate(spread, schema)
+            rules.update(v.rule for v in violations)
+    assert len(rules) == 8 and min(rules.values()) >= 10, rules
 
 
 @pytest.mark.parametrize("attributes_on_events", [False, True])

@@ -229,6 +229,20 @@ def test_alignment_cases_are_pinned():
 SCORER_NAMES_ORACLES_MAY_USE = {
     "LABELED_ARG", "MISSING_SUBTYPE", "SPAN_ONLY_ARG", "TRIGGER", "PhenomenonKey", "ScoreCounts",
 }
+# What tests/oracles.py may take from the schema module: the declaration and
+# the violation record with its rule names, none of the checks.
+SCHEMA_NAMES_ORACLES_MAY_USE = {
+    "LABELED", "AnnotationSchema", "Violation", "RULE_ARG_TYPE", "RULE_ATTRIBUTE",
+    "RULE_EVENT_TYPE", "RULE_REQUIRED", "RULE_ROLE", "RULE_SUBTYPE_MISSING",
+    "RULE_SUBTYPE_VOCAB", "RULE_TRIGGER",
+}
+# The lookups and walkers behind corpus_stats and validate_corpus, which
+# reference_stats and reference_validate restate from the declared rules.
+SCHEMA_LOOKUPS = {"event", "roles", "required_arguments", "subtype_key", "attribute_index"}
+STATS_AND_VALIDATION_WALKERS = {
+    "resolve_subtype", "corpus_stats", "validate_document", "validate_corpus",
+    "_validate", "_event_rules",
+}
 
 
 @pytest.mark.parametrize(
@@ -243,8 +257,29 @@ def test_oracles_take_no_rule_from_the_scorer(path, allowed):
     """The oracles in testkit and tests/oracles.py import no scoring rule,
     such as ``scoring._overlaps``, the trigger-overlap test the aligner
     runs, and name no ``overlaps`` or ``_overlaps``; if they did, the scorer
-    would be checked against itself."""
+    would be checked against itself. tests/oracles.py's statistics and
+    validation oracles likewise use no schema lookup, no analytics and no
+    validation walker."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "oracles.py":
+        from_schema = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("schema", "slotscore.schema")
+            for alias in node.names
+        }
+        assert from_schema <= SCHEMA_NAMES_ORACLES_MAY_USE
+        assert not [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom)
+                and node.module in ("analytics", "slotscore.analytics"))
+            or (isinstance(node, ast.Import)
+                and "slotscore.analytics" in [a.name for a in node.names])
+            or (isinstance(node, ast.Attribute)
+                and node.attr in SCHEMA_LOOKUPS | STATS_AND_VALIDATION_WALKERS)
+            or (isinstance(node, ast.Name) and node.id in STATS_AND_VALIDATION_WALKERS)
+        ]
     from_scoring = {
         alias.name
         for node in ast.walk(tree)
