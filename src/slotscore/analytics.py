@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from .schema import LABELED, AnnotationSchema
 from .scoring import (
     LABELED_ARG,
+    MISSING_SUBTYPE,
     TRIGGER,
     Counts,
     Metrics,
     _corpus_cells,
     _new_cells,
-    resolve_subtype,
     score_corpus,
 )
 from .standoff import Corpus
@@ -79,7 +79,10 @@ def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
                 if found is None:
                     continue
                 spec, counts = found
-                subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
+                # A missing subtype counts as the sentinel, without a warning:
+                # validation reports it.
+                attr = attrs.get(schema.subtype_key(event.id, target, spec))
+                subtype = MISSING_SUBTYPE if attr is None or attr.value is None else attr.value
                 counts[subtype] = counts.get(subtype, 0) + 1
 
     n = len(corpus)

@@ -97,12 +97,20 @@ class AnnotationSchema:
     ``attributes_on_events`` says which annotation carries a labeled
     argument's subtype attribute: the argument's text-bound (False) or the
     event (True). ``subtype_key`` is the one statement of that rule.
+
+    The rules ``validate_document`` reads are built once, with the schema:
+    ``{event type: ({role: (spec, subtype vocabulary as a set)}, required
+    specs)}``. They are keyed by event type and role, never by spec alone:
+    specs compare by value, and several event types declare an equal one.
     """
 
     events: tuple[EventSpec, ...]
     version: str = ""
     attributes_on_events: bool = False
     _by_type: dict[str, EventSpec] = field(init=False, repr=False, compare=False)
+    _rules: dict[str, tuple[dict, tuple[ArgumentSpec, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -110,6 +118,13 @@ class AnnotationSchema:
         if len(set(types)) != len(types):
             raise SchemaError("duplicate event types in schema")
         object.__setattr__(self, "_by_type", {e.event_type: e for e in self.events})
+        object.__setattr__(self, "_rules", {
+            e.event_type: (
+                {role: (spec, frozenset(spec.subtypes)) for role, spec in e.roles.items()},
+                e.required_arguments(),
+            )
+            for e in self.events
+        })
 
     def event(self, event_type: str) -> EventSpec | None:
         return self._by_type.get(event_type)
@@ -257,31 +272,12 @@ class Violation:
     message: str
 
 
-def _event_rules(schema: AnnotationSchema) -> dict[str, tuple[dict, tuple[ArgumentSpec, ...]]]:
-    """Every declared event type's rules, looked up once per validation call:
-    ``{event type: ({role: (spec, subtype vocabulary as a set)}, required
-    specs)}``. Keyed by event type and role, never by spec alone: specs
-    compare by value, and several event types declare an equal one."""
-    return {
-        event_spec.event_type: (
-            {role: (spec, frozenset(spec.subtypes)) for role, spec in event_spec.roles.items()},
-            event_spec.required_arguments(),
-        )
-        for event_spec in schema.events
-    }
-
-
 def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation]:
     """Check a document against the schema; violations are data, not errors.
 
     Returned violations are stable-ordered by annotation id, then rule.
     The document is never mutated.
     """
-    return _validate(doc, schema, _event_rules(schema))
-
-
-def _validate(doc: Document, schema: AnnotationSchema, rules: dict) -> list[Violation]:
-    """``validate_document`` over the schema's ``_event_rules``."""
     violations: list[Violation] = []
 
     def report(annotation_id: str, rule: str, message: str) -> None:
@@ -292,7 +288,7 @@ def _validate(doc: Document, schema: AnnotationSchema, rules: dict) -> list[Viol
     attrs = doc.attribute_index()
 
     for event in doc.events.values():
-        event_rules = rules.get(event.event_type)
+        event_rules = schema._rules.get(event.event_type)
         if event_rules is None:
             report(event.id, RULE_EVENT_TYPE, f"event type {event.event_type} is not declared")
             continue
@@ -358,8 +354,7 @@ def _validate(doc: Document, schema: AnnotationSchema, rules: dict) -> list[Viol
 
 
 def validate_corpus(corpus, schema: AnnotationSchema) -> list[Violation]:
-    rules = _event_rules(schema)
     out: list[Violation] = []
     for doc_id in corpus.doc_ids():
-        out.extend(_validate(corpus[doc_id], schema, rules))
+        out.extend(validate_document(corpus[doc_id], schema))
     return out

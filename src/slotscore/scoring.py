@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .schema import SPAN_ONLY, AnnotationSchema, ArgumentSpec
+from .schema import SPAN_ONLY, AnnotationSchema
 from .standoff import (
     AttributeAnnotation,
     Corpus,
@@ -290,27 +290,6 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
 # Slots
 # ---------------------------------------------------------------------------
 
-def resolve_subtype(
-    doc: Document,
-    event: EventAnnotation,
-    target: str,
-    spec: ArgumentSpec,
-    schema: AnnotationSchema,
-    attrs: dict[tuple[str, str], AttributeAnnotation],
-) -> str:
-    """The subtype label a labeled argument carries, or the missing
-    sentinel when its attribute is absent. ``attrs`` is
-    ``doc.attribute_index()``, built once per note by the caller."""
-    attr = attrs.get(schema.subtype_key(event.id, target, spec))
-    if attr is None or attr.value is None:
-        logger.warning(
-            "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
-            doc.doc_id, spec.argument_type, event.id, spec.attribute_name, MISSING_SUBTYPE,
-        )
-        return MISSING_SUBTYPE
-    return attr.value
-
-
 def _role_table(schema: AnnotationSchema) -> dict[str, tuple]:
     """``{event type: (trigger slot, {role: (spec, span-only key or None,
     labeled slots)})}`` for every declared event type, so ``_slots`` asks
@@ -342,8 +321,8 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
     key is a plain (kind, event type, argument type, subtype) tuple. Keys,
     and the trigger and labeled slots, come from ``table`` (``_role_table``).
     A labeled argument's subtype is read from ``attrs``
-    (``doc.attribute_index()``) at ``schema.subtype_key``; only a missing
-    one goes through ``resolve_subtype``, which warns. Undeclared
+    (``doc.attribute_index()``) at ``schema.subtype_key``; a missing one is
+    scored as ``MISSING_SUBTYPE``, with a warning. Undeclared
     roles are not scorable phenomena: they are skipped with a warning
     (validation reports them), and an undeclared event type fills its
     trigger slot only."""
@@ -367,8 +346,12 @@ def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
             continue
         attr = attrs.get(schema.subtype_key(event.id, target, spec))
         subtype = None if attr is None else attr.value
-        if subtype is None:  # resolve_subtype warns and gives the missing sentinel
-            subtype = resolve_subtype(doc, event, target, spec, schema, attrs)
+        if subtype is None:
+            logger.warning(
+                "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
+                doc.doc_id, spec.argument_type, event.id, spec.attribute_name, MISSING_SUBTYPE,
+            )
+            subtype = MISSING_SUBTYPE
         slot = labeled.get(subtype)
         if slot is None:
             key = (LABELED_ARG, event_type, spec.argument_type, subtype)

@@ -15,22 +15,22 @@ back. One at the start of an ``.ann`` file is dropped, because no offset
 points into the ``.ann``; line numbers do not change. Parsed documents are
 immutable by convention and safe to share across threads.
 
-Loading builds each repeated string once per process (``sys.intern``):
-annotation ids, labels, event types, roles, attribute names and values,
-and, in ``load_corpus``, note texts (except on CPython 3.12). Equal
-strings of those kinds may therefore be one shared object, within a
-document, across documents and across corpora, and an event's trigger and
-argument targets and an attribute's target are the very id objects of the
-annotations they name. Callers compare by equality and must not rely on
-identity either way. A text-bound stores no copy of the text it covers,
-which is ``tb.covered(doc.text)``.
-
-Within one ``load_corpus`` call, each repeated offset (one int per
-distinct offset token) and each repeated ``(role, target)`` argument pair
-is one object too, across all the notes of that load. The table that
-shares them lives only while the load runs: two loads, and two
-``parse_document`` calls, share no offsets or pairs. Fragment tuples are
-never shared; each text-bound has its own.
+A load shares repeated values through two tables of its own, which live
+only while it runs. One maps each offset token to its int, so the load
+holds one int per distinct token. The other maps each repeated string
+(annotation ids, labels, event types, roles, attribute names and values)
+and each ``(role, target)`` argument pair to the first equal object seen;
+one dict holds both, because a tuple never equals a str. Offsets have a
+table of their own so that an attribute value ``7`` stays a str. An
+event's trigger and argument targets and an attribute's target are the
+very id objects of the annotations they name. ``load_corpus`` keeps the
+tables for all of its notes and drops them when it returns;
+``parse_document`` makes fresh ones per call. So two loads share nothing,
+and no load adds to a table the process keeps. Note texts go in no table,
+since each is distinct within a load, and fragment tuples are never
+shared. Callers compare by equality and must not rely on identity either
+way. A text-bound stores no copy of the text it covers, which is
+``tb.covered(doc.text)``.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ import gc
 import logging
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index
 from pathlib import Path
-from sys import intern
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +50,6 @@ SOURCES = ("mimic", "uw", "other")
 SPLITS = ("train", "dev", "test", "unknown")
 
 _ID_RE = re.compile(r"^([A-Za-z#*]+)(\d*)$")
-
-# An interned string is freed once nothing refers to it, except on CPython
-# 3.12, which keeps every one for the life of the process. Ids and
-# vocabulary are few, but note texts are not, so 3.12 does not share them.
-_SHARE_NOTE_TEXTS = sys.version_info[:2] != (3, 12)
 
 
 class StandoffError(Exception):
@@ -257,11 +250,10 @@ _set_fragments = TextBound.fragments.__set__
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int,
-                     shared: dict) -> tuple[tuple[int, int], ...]:
+                     ints: dict[str, int]) -> tuple[tuple[int, int], ...]:
     # int() raises ValueError on a token that is not an integer, and also on
     # one of more digits than the interpreter converts (4,300 by default).
-    # ``shared`` maps each offset token int() accepted before to its int, so
-    # a load holds one int per distinct token.
+    # ``ints`` maps each offset token int() accepted before to its int.
     fragments = []
     try:
         for part in offsets.split(";"):
@@ -269,12 +261,12 @@ def _parse_fragments(offsets: str, doc_id: str, line_no: int,
             if len(pieces) != 2:
                 raise StandoffError(f"malformed span offsets {offsets!r}", doc_id, line_no)
             first, last = pieces
-            start = shared.get(first)
+            start = ints.get(first)
             if start is None:
-                start = shared[first] = int(first)
-            end = shared.get(last)
+                start = ints[first] = int(first)
+            end = ints.get(last)
             if end is None:
-                end = shared[last] = int(last)
+                end = ints[last] = int(last)
             fragments.append((start, end))
     except ValueError:
         raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
@@ -306,7 +298,7 @@ def parse_document(
     Raises StandoffError for malformed syntax, out-of-bounds offsets,
     dangling references, and duplicate ids in either mode.
     """
-    return _parse(ann_text, doc_text, doc_id, strict, metadata, {})
+    return _parse(ann_text, doc_text, doc_id, strict, metadata, {}, {})
 
 
 def _parse(
@@ -315,12 +307,13 @@ def _parse(
     doc_id: str,
     strict: bool,
     metadata: DocumentMetadata | None,
+    ints: dict[str, int],
     shared: dict,
 ) -> Document:
-    """``parse_document``, keeping one object per repeated offset and
-    argument pair in ``shared``: offset tokens map to their ints and each
-    ``(role, target)`` pair to itself. ``load_corpus`` passes one dict for
-    every note it loads."""
+    """``parse_document`` over a load's two tables (see the module
+    docstring): ``ints`` maps offset tokens to their ints, and ``shared``
+    maps each string and argument pair to the first equal one. ``load_corpus``
+    passes the same two for every note it loads."""
     if ann_text.startswith("\ufeff"):
         ann_text = ann_text[1:]
     text_bounds: dict[str, TextBound] = {}
@@ -332,19 +325,20 @@ def _parse(
             raise StandoffError(message, doc_id, line_no)
         logger.warning("%s:%d: %s", doc_id or "<input>", line_no, message)
 
+    share = shared.setdefault
     text_len = len(doc_text)
     for line_no, line in enumerate(_lines(ann_text), start=1):
         kind = line[:1]  # no T, E or A line is blank
         if kind == "T":
             ann_id, tab, rest = line.partition("\t")
-            ann_id = intern(ann_id)  # T1, E1, ... recur in every note
+            ann_id = share(ann_id, ann_id)  # T1, E1, ... recur in every note
             if not tab:
                 raise StandoffError("text-bound line needs type and offsets", doc_id, line_no)
             header, _, stated_text = rest.partition("\t")  # the rest keeps its tabs
             label, space, offsets = header.partition(" ")
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
-            fragments = _parse_fragments(offsets, doc_id, line_no, shared)
+            fragments = _parse_fragments(offsets, doc_id, line_no, ints)
             if fragments[-1][1] > text_len:
                 raise StandoffError(
                     f"span {fragments} exceeds text length {text_len}", doc_id, line_no
@@ -362,13 +356,13 @@ def _parse(
             # __init__ and the check the fragments have passed
             tb = _new(TextBound)
             _set_id(tb, ann_id)
-            _set_label(tb, intern(label))
+            _set_label(tb, share(label, label))
             _set_fragments(tb, fragments)
             text_bounds[ann_id] = tb
 
         elif kind == "E":
             ann_id, _, body = line.partition("\t")
-            ann_id = intern(ann_id)
+            ann_id = share(ann_id, ann_id)
             if "\t" in body:  # read leniently as a space
                 fail_or_warn(f"tab inside the body of {ann_id}", line_no)
             pairs = body.split()
@@ -377,7 +371,7 @@ def _parse(
             event_type, colon, trigger_ref = pairs[0].partition(":")
             if not (colon and event_type):
                 raise StandoffError(f"malformed event trigger {pairs[0]!r}", doc_id, line_no)
-            event_type = intern(event_type)
+            event_type = share(event_type, event_type)
             trigger: str | None = trigger_ref
             if not trigger_ref:
                 fail_or_warn(f"event {ann_id} has no trigger reference", line_no)
@@ -392,12 +386,12 @@ def _parse(
                 if not (colon and role and target):
                     fail_or_warn(f"malformed event argument {pair!r} on {ann_id}", line_no)
                     continue
-                args.append((intern(role), target))
+                args.append((share(role, role), target))
             raw_events.append((line_no, ann_id, event_type, trigger, args))
 
         elif kind == "A":
             ann_id, tab, body = line.partition("\t")
-            ann_id = intern(ann_id)
+            ann_id = share(ann_id, ann_id)
             if not tab:
                 raise StandoffError("attribute line needs a body", doc_id, line_no)
             if "\t" in body:  # read leniently as a space
@@ -405,8 +399,9 @@ def _parse(
             tokens = body.split()
             if len(tokens) < 2:
                 raise StandoffError(f"malformed attribute {body!r}", doc_id, line_no)
-            name, target = intern(tokens[0]), tokens[1]
-            value = intern(" ".join(tokens[2:])) if len(tokens) > 2 else None
+            name, target = share(tokens[0], tokens[0]), tokens[1]
+            value = " ".join(tokens[2:])
+            value = share(value, value) if len(tokens) > 2 else None
             raw_attrs.append((line_no, ann_id, name, target, value))
 
         elif not line.strip():
@@ -421,7 +416,6 @@ def _parse(
 
     # Second pass: resolve references now that all text-bounds are known. A
     # resolved reference is the id object of the annotation it names.
-    pair_for = shared.setdefault
     events: dict[str, EventAnnotation] = {}
     for line_no, ann_id, event_type, trigger, args in raw_events:
         if ann_id in events:
@@ -440,7 +434,7 @@ def _parse(
             tb = text_bounds.get(target)
             if tb is not None:
                 pair = (role, tb.id)
-                arguments.append(pair_for(pair, pair))
+                arguments.append(share(pair, pair))
                 continue
             if any(target == raw[1] for raw in raw_events):
                 raise StandoffError(
@@ -643,14 +637,8 @@ def load_corpus(
     conventions (path components named mimic/uw or train/dev/test); notes
     with equal metadata share one ``DocumentMetadata``.
 
-    Note texts are interned like the parsed ids and vocabulary (see the
-    module docstring), except on CPython 3.12, which never frees an
-    interned string: equal texts, such as a note in a gold corpus and in a
-    prediction loaded in the same process, may be one shared object.
-    Within this load, a repeated offset or ``(role, target)`` argument pair
-    is one object across notes; the table behind that is dropped when the
-    load returns, so nothing it held outlives the call. Callers rely on
-    equality, not identity.
+    What a load shares between its notes, and for how long, is stated in
+    the module docstring.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -680,7 +668,8 @@ def load_corpus(
             raise StandoffError(_summary(stray, "annotation file", "without note text"), root_name)
 
         corpus = Corpus()
-        shared: dict = {}  # offsets and argument pairs, held for this load only
+        ints: dict[str, int] = {}  # the load's tables; see the module docstring
+        shared: dict = {}
         claimed: dict[str, str] = {}  # doc_id -> the note file that claimed it
         for txt in notes:
             rel = txt[:-4]
@@ -691,13 +680,11 @@ def load_corpus(
                 )
             claimed[doc_id] = txt
             text = _read_raw(root_prefix + txt)
-            if _SHARE_NOTE_TEXTS:  # a prediction shares gold's text
-                text = intern(text)
             metadata = _metadata_for(rel, doc_id, rules)
             ann = rel + ".ann"
             if ann in annotations:
                 ann_text = _read_raw(root_prefix + ann)
-                doc = _parse(ann_text, text, doc_id, strict, metadata, shared)
+                doc = _parse(ann_text, text, doc_id, strict, metadata, ints, shared)
             else:
                 doc = Document(doc_id, text, metadata=metadata)
             corpus.add(doc)

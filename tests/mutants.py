@@ -98,6 +98,113 @@ MUTANTS = (
         ("tests/test_schema.py", "tests/test_differential.py"),
     ),
     Mutant(
+        "span-only-argument-matches-on-start",
+        "scoring.py",
+        "            slots.append((key, doc.text_bounds[target].fragments))\n",
+        "            slots.append((key, doc.text_bounds[target].fragments[0][0]))\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        # A labeled argument matches on its subtype alone, whatever its span.
+        "labeled-argument-matches-on-span-too",
+        "scoring.py",
+        "        slots.append(slot)\n",
+        "        slots.append((slot[0], (slot[1], doc.text_bounds[target].fragments)))\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        # Gold fills a slot once and the prediction twice: one tp and one fp,
+        # not one tp alone.
+        "matched-slot-removes-every-copy",
+        "scoring.py",
+        "                    pred_slots.remove(slot)\n",
+        "                    pred_slots = [s for s in pred_slots if s != slot]\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        "unmatched-gold-tallied-as-fp",
+        "scoring.py",
+        "        for g_event in unmatched_gold:\n"
+        "            for key, _ in gold_slots(g_event):\n"
+        "                cells[key][1] += 1\n",
+        "        for g_event in unmatched_gold:\n"
+        "            for key, _ in gold_slots(g_event):\n"
+        "                cells[key][2] += 1\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        "unmatched-prediction-tallied-as-fn",
+        "scoring.py",
+        "        for p_event in unmatched_pred:\n"
+        "            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):\n"
+        "                cells[key][2] += 1\n",
+        "        for p_event in unmatched_pred:\n"
+        "            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):\n"
+        "                cells[key][1] += 1\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        # Every system is checked for extra notes before any text: system B's
+        # extra note would win over system A's text mismatch.
+        "extra-notes-checked-for-every-system-first",
+        "scoring.py",
+        "            raise ScoringError(_summary(extra, \"predicted note\", \"with no gold counterpart\"))\n"
+        "        for doc_id in doc_ids:\n",
+        "            raise ScoringError(_summary(extra, \"predicted note\", \"with no gold counterpart\"))\n"
+        "    for pred in preds:\n"
+        "        for doc_id in doc_ids:\n",
+        ("tests/test_significance.py",),
+    ),
+    Mutant(
+        "role-suffix-kept",
+        "standoff.py",
+        "                    role = _ROLE_SUFFIX_RE.sub(\"\", role)\n",
+        "                    role = role\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
+        # A raw CR in the covered text would match a stated text that holds it.
+        "stated-text-may-hold-a-raw-cr",
+        "standoff.py",
+        "    return (stated == covered and \"\\r\" not in covered) or stated == _flatten_ws(covered)\n",
+        "    return stated == covered or stated == _flatten_ws(covered)\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
+        # Offsets count code points of the note as stored: a CRLF is two.
+        "crlf-read-as-one-character",
+        "standoff.py",
+        "            return f.read().decode(\"utf-8\")\n",
+        "            return f.read().decode(\"utf-8\").replace(\"\\r\\n\", \"\\n\")\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
+        # A table the module keeps would share strings and pairs across loads.
+        "load-table-kept-by-the-module",
+        "standoff.py",
+        "        shared: dict = {}\n",
+        "        shared: dict = globals().setdefault(\"_shared\", {})\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
+        # Float64 sums above 2**53 round odd integers (the bound's dtype
+        # check fails first; the sums above it differ too).
+        "float-product-bound-at-2-54",
+        "significance.py",
+        "    if n * int(np.abs(totals).max(initial=0)) < 2**53:\n",
+        "    if n * int(np.abs(totals).max(initial=0)) < 2**54:\n",
+        ("tests/test_significance.py",),
+    ),
+    Mutant(
+        # A repetition with a draw numpy rejects would keep the raw path's
+        # indices, which differ from numpy's after that draw.
+        "lemire-draw-never-rejected",
+        "significance.py",
+        "    rejected = scaled.astype(np.uint32) < (2**32 - n) % n\n",
+        "    rejected = np.zeros(scaled.shape, dtype=bool)\n",
+        ("tests/test_significance.py",),
+    ),
+    Mutant(
         "align-early-stop-past-gold-end",
         "scoring.py",
         "            if p_start >= g_end:\n",

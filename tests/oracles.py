@@ -383,7 +383,7 @@ def _read_text(path: Path) -> str:
 
 def reference_load_corpus(directory, manifest=None, strict: bool = False) -> Corpus:
     """``load_corpus`` on ``reference_note_files``, reading in text mode,
-    without the collector pause or interning."""
+    without the collector pause or the load's sharing tables."""
     root = Path(directory)
     if not root.is_dir():
         raise StandoffError(f"corpus directory not found: {root}")

@@ -242,6 +242,30 @@ def test_stats_three_partition_fixture(tmp_path, shac, capsys):
     assert "notes=9" in out
 
 
+def test_stats_counts_a_missing_subtype_without_a_warning(tmp_path):
+    # validate reports a missing subtype; stats only counts it as <missing>.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "n1.txt").write_text("Drinks beer daily.", encoding="utf-8")
+    (corpus / "n1.ann").write_text(
+        "T1\tAlcohol 0 6\tDrinks\nT2\tStatusTime 7 11\tbeer\nE1\tAlcohol:T1 Status:T2\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "slotscore.cli", "stats", str(corpus)],
+        env=_env(), capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    assert run.stdout == (
+        "section\tsource\tsplit\tevent_type\targument_type\tsubtype\tcount\taverage\n"
+        "total\t\t\t\t\t\t1\t\n"
+        "notes\tother\tunknown\t\t\t\t1\t\n"
+        "events\t\t\tAlcohol\t\t\t1\t1.000000\n"
+        "subtypes\t\t\tAlcohol\tStatusTime\t<missing>\t1\t\n"
+        "notes=1 avg events/note: Alcohol=1.00\n"
+    )
+
+
 def test_stats_manifest_bom_is_dropped(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

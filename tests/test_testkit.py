@@ -239,10 +239,7 @@ SCHEMA_NAMES_ORACLES_MAY_USE = {
 # The lookups and walkers behind corpus_stats and validate_corpus, which
 # reference_stats and reference_validate restate from the declared rules.
 SCHEMA_LOOKUPS = {"event", "roles", "required_arguments", "subtype_key", "attribute_index"}
-STATS_AND_VALIDATION_WALKERS = {
-    "resolve_subtype", "corpus_stats", "validate_document", "validate_corpus",
-    "_validate", "_event_rules",
-}
+STATS_AND_VALIDATION_WALKERS = {"corpus_stats", "validate_document", "validate_corpus", "_rules"}
 
 
 @pytest.mark.parametrize(
