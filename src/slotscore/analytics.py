@@ -5,10 +5,11 @@ performance, and performance by event density (how many gold events of a
 type a note carries: 1, 2, or 3+). The breakdowns have no scoring rules or
 document walks of their own: the subtype table is the labeled-argument rows
 of ``score_corpus``'s report, and the density table is read from the
-scorer's plain per-note cells, with no ``PhenomenonKey`` made. Each view
-tallies straight into the table it reports and builds no record per note:
-the density table sums a note's cells per event type into plain lists, and
-the statistics look each labeled role up once per call.
+scorer's plain cells, with no ``PhenomenonKey`` made. Each view tallies
+straight into the table it reports and builds no record or table per note:
+the density table adds every note into two cells per event type that live
+for the whole call, folds them into its buckets after each note and zeroes
+them, and the statistics look each labeled role up once per call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .scoring import (
     Counts,
     Metrics,
     _corpus_cells,
-    _new_cells,
+    _SharedCells,
     score_corpus,
 )
 from .standoff import Corpus
@@ -154,37 +155,47 @@ def density_breakdown(
     count for that type; the bucket accumulates the note's tallies
     restricted to the type, spurious predictions included. Notes with no
     gold events and no predictions of a type contribute nothing to it.
+
+    The call keeps one table of cells (``_SharedCells``): each key is its
+    event type's trigger cell or argument cell, so every note adds straight
+    into them. Every tally adds at least 1 to some cell, so a type whose two
+    cells are zero after a note did not occur in it, which is exactly the
+    rule above. After each note every type met in the call is read, at
+    O(event types met) per note, and its cells are zeroed.
     """
+    # event type -> (trigger cell, argument cell), each [tp, fn, fp]
+    by_type: dict[str, tuple[list[int], list[int]]] = {}
+
+    def cell_of(key: tuple) -> list[int]:
+        cells = by_type.get(key[1])
+        if cells is None:
+            cells = by_type[key[1]] = ([0, 0, 0], [0, 0, 0])
+        return cells[0] if key[0] == TRIGGER else cells[1]
+
+    note_cells = _SharedCells(cell_of)
     # (event type, bucket) -> [notes, gold events, tp, fn, fp]
     table: dict[tuple[str, str], list[int]] = {}
 
     for _, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema):
-        # The note's tallies summed per event type, [gold events, tp, fn, fp],
-        # in one pass over its cells.
-        totals: dict[str, list[int]] = {}
-        for (kind, event_type, _, _), (tp, fn, fp) in tally(pred_doc, _new_cells()).items():
-            total = totals.get(event_type)
-            if total is None:
-                total = totals[event_type] = [0, tp, fn, fp]
-            else:
-                total[1] += tp
-                total[2] += fn
-                total[3] += fp
+        tally(pred_doc, note_cells)
+        for event_type, (trigger, argument) in by_type.items():
+            tp, fn, fp = trigger
+            arg_tp, arg_fn, arg_fp = argument
+            if not (tp or fn or fp or arg_tp or arg_fn or arg_fp):
+                continue
             # Every gold event fills its trigger slot once, as a tp or an fn,
             # trigger-less and undeclared-type events included.
-            if kind == TRIGGER:
-                total[0] = tp + fn
-        for event_type, (n, tp, fn, fp) in totals.items():
+            n = tp + fn
             key = (event_type, bucket_label(n))
             row = table.get(key)
             if row is None:
-                table[key] = [1, n, tp, fn, fp]
-            else:
-                row[0] += 1
-                row[1] += n
-                row[2] += tp
-                row[3] += fn
-                row[4] += fp
+                row = table[key] = [0, 0, 0, 0, 0]
+            row[0] += 1
+            row[1] += n
+            row[2] += tp + arg_tp
+            row[3] += fn + arg_fn
+            row[4] += fp + arg_fp
+            trigger[:] = argument[:] = (0, 0, 0)
 
     rows = [
         DensityRow(

@@ -17,10 +17,12 @@ sorted and matched to gold's by the one alignment core that
 caller passes. ``_corpus_cells`` makes one pass over gold for any number of
 predictions, and each corpus-level view tallies into the table it reports:
 ``score_corpus`` (and so the subtype table) puts every note into one corpus
-table; ``per_document_counts``, the density table and the bootstrap's
-per-note totals give each note a table of its own. A
-``PhenomenonKey`` is made once per key, and only where a ``ScoreCounts`` is
-returned.
+table, and ``per_document_counts``, which returns a table per note, gives
+each note a table of its own. The per-note views build no table per note:
+the density table and the bootstrap's per-note totals keep one table for
+the call whose keys share a few cells (``_SharedCells``), and read and zero
+those cells after each note. A ``PhenomenonKey`` is made once per key, and
+only where a ``ScoreCounts`` is returned.
 
 The schema owns the two rules every labeled-argument score rests on: a
 role resolves through its event type's role table (``EventSpec.roles``),
@@ -230,7 +232,8 @@ def _overlaps(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) ->
 def _ordered_rows(doc: Document) -> tuple[list[tuple], list[EventAnnotation]]:
     """A note's events sorted once: rows of plain values (trigger start,
     trigger end, annotation_sort_key(id), event, trigger fragments), then
-    the events whose trigger does not resolve, by id; those never match."""
+    the events whose trigger does not resolve, by id; those never match.
+    A note with no such event returns its empty tail as it is."""
     rows, tail = [], []
     for event in doc.events.values():
         tb = doc.text_bounds.get(event.trigger)
@@ -240,6 +243,8 @@ def _ordered_rows(doc: Document) -> tuple[list[tuple], list[EventAnnotation]]:
             frags = tb.fragments
             rows.append((frags[0][0], frags[-1][1], annotation_sort_key(event.id), event, frags))
     rows.sort()
+    if not tail:
+        return rows, tail
     tail.sort()
     return rows, [event for _, event in tail]
 
@@ -269,7 +274,8 @@ def _align(gold_rows: list[tuple], gold_tail: list[EventAnnotation],
         else:
             unmatched_gold.append(g)
     # The rows left in the buckets are the unmatched pred events.
-    left = sorted(row for bucket in buckets.values() for row in bucket)
+    left = [row for bucket in buckets.values() for row in bucket]
+    left.sort()
     return matched, unmatched_gold + gold_tail, [row[3] for row in left] + pred_tail
 
 
@@ -383,13 +389,31 @@ def _new_cells() -> defaultdict[tuple, list[int]]:
     return defaultdict(partial(list, (0, 0, 0)))
 
 
+class _SharedCells(dict):
+    """A table of plain cells whose keys share cells: a key met for the first
+    time gets the cell ``cell_of(key)`` names. A view that keeps the cells
+    for a whole call passes the same table for every note and reads, then
+    zeroes, the cells after each one, so no note builds a table of its own."""
+
+    __slots__ = ("cell_of",)
+
+    def __init__(self, cell_of: Callable[[tuple], list[int]]):
+        super().__init__()
+        self.cell_of = cell_of
+
+    def __missing__(self, key: tuple) -> list[int]:
+        cell = self[key] = self.cell_of(key)
+        return cell
+
+
 def _gold_note(
     gold: Document, table: dict[str, tuple], schema: AnnotationSchema
 ) -> Callable[[Document, dict[tuple, list[int]]], dict[tuple, list[int]]]:
     """Prepare one gold note for any number of predictions, and return the
     function that tallies one of them (already checked by ``_check_pair``)
     into a table of plain cells, ``{(kind, event type, argument type,
-    subtype): [tp, fn, fp]}`` (``_new_cells``), and returns that table. Keys
+    subtype): [tp, fn, fp]}`` (``_new_cells``, ``_SharedCells``), and
+    returns that table. Keys
     the table lacks are added in the order first tallied, so a table shared
     by every note of a corpus holds each key where the walk first met it.
 
@@ -459,8 +483,10 @@ def _corpus_cells(
     note, in sorted doc_id order: one pass over gold, each note prepared once
     (``_gold_note``). The caller runs ``tally(pred_doc, cells)`` for each
     prediction in input order, into the table of plain cells its view
-    reports: one table for the corpus, or a fresh one (``_new_cells``) per
-    note.
+    reports: one table for the corpus (``score_corpus``), a fresh one
+    (``_new_cells``) per note (``per_document_counts``), or one table for
+    the call whose keys share cells (``_SharedCells``) that the view reads
+    and zeroes after each note (the density table, the bootstrap's totals).
 
     Before any note is scored, each prediction is checked in input order:
     a predicted note absent from gold is an error, then a note whose text

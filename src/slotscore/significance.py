@@ -26,7 +26,8 @@ exceeds ``n * max(totals)``; below 2**53 the product runs in float64,
 exactly, through BLAS, and above it in int64. Either way the sums are the
 same integers, so the deltas are the same bits.
 
-The per-note totals are summed from the scorer's plain cells, so no
+The per-note totals are added straight into one plain cell per prediction,
+kept for the whole call, so no note builds a table of its own and no
 ``PhenomenonKey`` or ``ScoreCounts`` is built for the bootstrap.
 
 numpy is imported only when a bootstrap runs, so scoring never loads it.
@@ -40,7 +41,7 @@ from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
-from .scoring import _corpus_cells, _new_cells, prf
+from .scoring import _corpus_cells, _SharedCells, prf
 from .standoff import Corpus
 
 if TYPE_CHECKING:
@@ -93,19 +94,23 @@ def _note_totals(
 ) -> np.ndarray:
     """Per-note (tp, fn, fp) summed across the scorer's plain cells, from one
     pass over gold: one row per gold note in sorted doc_id order, holding
-    each prediction's three totals in input order."""
+    each prediction's three totals in input order.
+
+    Each prediction keeps one table for the call, every key of which is the
+    prediction's one [tp, fn, fp] cell (``_SharedCells``), so the tally adds
+    a note's slots straight into its totals. After each note the cell is read
+    into the row and zeroed."""
     import numpy as np
 
+    cells = [[0, 0, 0] for _ in preds]
+    tables = [_SharedCells(lambda key, cell=cell: cell) for cell in cells]
     rows = []
     for _, tally, pred_docs in _corpus_cells(gold, preds, schema):
         row = []
-        for pred_doc in pred_docs:
-            tp = fn = fp = 0
-            for cell in tally(pred_doc, _new_cells()).values():
-                tp += cell[0]
-                fn += cell[1]
-                fp += cell[2]
-            row += (tp, fn, fp)
+        for pred_doc, table, cell in zip(pred_docs, tables, cells):
+            tally(pred_doc, table)
+            row += cell
+            cell[:] = (0, 0, 0)
         rows.append(row)
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3 * len(preds))
 

@@ -137,6 +137,16 @@ def test_align_respects_event_type_boundaries():
     assert len(alignment.unmatched_gold) == len(alignment.unmatched_pred) == 1
 
 
+def test_align_puts_trigger_less_events_last_by_id():
+    # The file lists E10 before E2; ids order E2 first (numeric suffix).
+    gold = _doc("E10\tAlcohol:\nT1\tAlcohol 0 4\tbeer\nE1\tAlcohol:T1\nE2\tAlcohol:\n", "beer daily")
+    pred = _doc("E10\tAlcohol:\nE2\tAlcohol:\n", "beer daily")
+    alignment = align_events(gold, pred)
+    assert not alignment.matched
+    assert [e.id for e in alignment.unmatched_gold] == ["E1", "E2", "E10"]
+    assert [e.id for e in alignment.unmatched_pred] == ["E2", "E10"]
+
+
 def _random_trigger_doc(rng, doc_id):
     """Up to 8 events of two types on a 30-character note: overlapping,
     discontinuous and trigger-less triggers are all common."""
