@@ -69,19 +69,37 @@ def _json_value(value):
     return value
 
 
+def _tsv_cell(where: str, text: str) -> str:
+    """``text``, unless it holds a tab, CR or LF, which would break its TSV row."""
+    if "\t" in text or "\n" in text or "\r" in text:
+        raise ValueError(
+            f"{where} value {text!r} holds a tab, CR or LF, which a TSV cell cannot; "
+            "use --format json"
+        )
+    return text
+
+
 def render(
     rows: Sequence[dict],
     columns: Sequence[str],
     fmt: str = "tsv",
     header: dict | None = None,
 ) -> str:
-    """Render rows in the named format ("tsv" or "json")."""
+    """Render rows in the named format ("tsv" or "json"). In TSV a cell or
+    header value that holds a tab, CR or LF is a ValueError naming its
+    column (or header key)."""
     header = header or {}
     if fmt == "tsv":
-        lines = [f"# {k}={_cell(v)}" for k, v in header.items()]
+        lines = [f"# {k}={_tsv_cell(f'header {k!r}', _cell(v))}" for k, v in header.items()]
         lines.append("\t".join(columns))
+        tabs = len(columns) - 1
         for row in rows:
-            lines.append("\t".join(_cell(row.get(c)) for c in columns))
+            cells = [_cell(row.get(c)) for c in columns]
+            line = "\t".join(cells)
+            if line.count("\t") != tabs or "\n" in line or "\r" in line:
+                for column, text in zip(columns, cells):  # raises at the first bad cell
+                    _tsv_cell(f"column {column!r}", text)
+            lines.append(line)
         return "".join(line + "\n" for line in lines)
     if fmt == "json":
         payload = dict(header)

@@ -9,16 +9,17 @@ negatives, and false positives are tallied per phenomenon (event type x
 argument type x subtype) and micro-averaged.
 
 A gold note is prepared once for every prediction scored against it: its
-events are sorted, its attribute index is built, and each gold event's
-slots are built on first use and kept. Each prediction's events are then
-sorted and matched to gold's by the one alignment core that
-``align_events`` also wraps, and the walk adds into a table of plain cells,
-``(kind, event type, argument type, subtype) -> [tp, fn, fp]``, that the
-caller passes. ``_corpus_cells`` makes one pass over gold for any number of
-predictions, and each corpus-level view tallies into the table it reports:
-``score_corpus`` (and so the subtype table) puts every note into one corpus
-table, and ``per_document_counts``, which returns a table per note, gives
-each note a table of its own. The per-note views build no table per note:
+events are sorted, and its slots are built by one walk over the note
+(``_note_slots``) at the first prediction, after that prediction's own, and
+kept. So a note's warnings come as the first prediction's, gold's once,
+then each later prediction's. Each prediction's events are then sorted and
+matched to gold's by the one alignment core that ``align_events`` also
+wraps, and the walk adds into a table of plain cells, ``(kind, event type,
+argument type, subtype) -> [tp, fn, fp]``, that the caller passes. ``_corpus_cells`` makes one pass over gold
+for any number of predictions, and each corpus-level view tallies into the
+table it reports: ``score_corpus`` (and so the subtype table) puts every
+note into one corpus table, and ``per_document_counts``, which returns a
+table per note, gives each note a table of its own. The per-note views build no table per note:
 the density table and the bootstrap's per-note totals keep one table for
 the call whose keys share a few cells (``_SharedCells``), and read and zero
 those cells after each note. A ``PhenomenonKey`` is made once per key, and
@@ -46,7 +47,6 @@ from functools import lru_cache, partial
 
 from .schema import SPAN_ONLY, AnnotationSchema
 from .standoff import (
-    AttributeAnnotation,
     Corpus,
     Document,
     EventAnnotation,
@@ -258,7 +258,11 @@ def _align(gold_rows: list[tuple], gold_tail: list[EventAnnotation],
     pred_rows, pred_tail = _ordered_rows(pred)
     buckets: dict[str, list[tuple]] = {}
     for row in pred_rows:
-        buckets.setdefault(row[3].event_type, []).append(row)
+        bucket = buckets.get(row[3].event_type)
+        if bucket is None:
+            buckets[row[3].event_type] = [row]
+        else:
+            bucket.append(row)
 
     matched, unmatched_gold = [], []
     for _, g_end, _, g, g_frags in gold_rows:
@@ -298,7 +302,7 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
 
 def _role_table(schema: AnnotationSchema) -> dict[str, tuple]:
     """``{event type: (trigger slot, {role: (spec, span-only key or None,
-    labeled slots)})}`` for every declared event type, so ``_slots`` asks
+    labeled slots)})}`` for every declared event type, so ``_note_slots`` asks
     the schema nothing per event. A labeled role's slots, ``{subtype: slot}``,
     fill as subtypes are met (a span-only role's are None). So every note
     shares one trigger slot per type and one labeled slot per subtype, and
@@ -318,52 +322,59 @@ def _role_table(schema: AnnotationSchema) -> dict[str, tuple]:
     return table
 
 
-def _slots(doc: Document, event: EventAnnotation, table: dict[str, tuple],
-           schema: AnnotationSchema,
-           attrs: dict[tuple[str, str], AttributeAnnotation]) -> list[tuple]:
-    """The slots one event fills, as a list of (key, match value): its
+def _note_slots(doc: Document, table: dict[str, tuple],
+                schema: AnnotationSchema) -> dict[str, list[tuple]]:
+    """The slots every event of a note fills, ``{event id: [(key, match
+    value), ...]}``, from one walk over the events in file order: an event's
     trigger (match value None), then in argument order each span-only
     argument (its fragments) and each labeled argument (its subtype). The
     key is a plain (kind, event type, argument type, subtype) tuple. Keys,
     and the trigger and labeled slots, come from ``table`` (``_role_table``).
-    A labeled argument's subtype is read from ``attrs``
-    (``doc.attribute_index()``) at ``schema.subtype_key``; a missing one is
-    scored as ``MISSING_SUBTYPE``, with a warning. Undeclared
-    roles are not scorable phenomena: they are skipped with a warning
-    (validation reports them), and an undeclared event type fills its
-    trigger slot only."""
-    event_type = event.event_type
-    entry = table.get(event_type)
-    if entry is None:
-        return [((TRIGGER, event_type, None, None), None)]
-    trigger_slot, roles = entry
-    slots = [trigger_slot]
-    for role, target in event.arguments:
-        found = roles.get(role)
-        if found is None:
-            logger.warning(
-                "%s: role %s on %s is not declared for %s; skipping in scoring",
-                doc.doc_id, role, event.id, event_type,
-            )
+    A labeled argument's subtype is read from the note's attribute index
+    (``doc.attribute_index()``, built here once) at ``schema.subtype_key``;
+    a missing one is scored as ``MISSING_SUBTYPE``, with a warning.
+    Undeclared roles are not scorable phenomena: they are skipped with a
+    warning (validation reports them), and an undeclared event type fills
+    its trigger slot only."""
+    attrs = doc.attribute_index()
+    text_bounds, subtype_key = doc.text_bounds, schema.subtype_key
+    note = {}
+    for event in doc.events.values():
+        event_type = event.event_type
+        try:
+            trigger_slot, roles = table[event_type]
+        except KeyError:
+            note[event.id] = [((TRIGGER, event_type, None, None), None)]
             continue
-        spec, key, labeled = found
-        if key is not None:
-            slots.append((key, doc.text_bounds[target].fragments))
-            continue
-        attr = attrs.get(schema.subtype_key(event.id, target, spec))
-        subtype = None if attr is None else attr.value
-        if subtype is None:
-            logger.warning(
-                "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
-                doc.doc_id, spec.argument_type, event.id, spec.attribute_name, MISSING_SUBTYPE,
-            )
-            subtype = MISSING_SUBTYPE
-        slot = labeled.get(subtype)
-        if slot is None:
-            key = (LABELED_ARG, event_type, spec.argument_type, subtype)
-            slot = labeled[subtype] = (key, subtype)
-        slots.append(slot)
-    return slots
+        slots = note[event.id] = [trigger_slot]
+        for role, target in event.arguments:
+            try:
+                spec, key, labeled = roles[role]
+            except KeyError:
+                logger.warning(
+                    "%s: role %s on %s is not declared for %s; skipping in scoring",
+                    doc.doc_id, role, event.id, event_type,
+                )
+                continue
+            if key is not None:
+                slots.append((key, text_bounds[target].fragments))
+                continue
+            attr = attrs.get(subtype_key(event.id, target, spec))
+            subtype = None if attr is None else attr.value
+            if subtype is None:
+                logger.warning(
+                    "%s: labeled argument %s on %s has no %s attribute; scoring as %s",
+                    doc.doc_id, spec.argument_type, event.id, spec.attribute_name,
+                    MISSING_SUBTYPE,
+                )
+                subtype = MISSING_SUBTYPE
+            try:
+                slot = labeled[subtype]
+            except KeyError:
+                key = (LABELED_ARG, event_type, spec.argument_type, subtype)
+                slot = labeled[subtype] = (key, subtype)
+            slots.append(slot)
+    return note
 
 
 @lru_cache(maxsize=4096)
@@ -413,46 +424,44 @@ def _gold_note(
     function that tallies one of them (already checked by ``_check_pair``)
     into a table of plain cells, ``{(kind, event type, argument type,
     subtype): [tp, fn, fp]}`` (``_new_cells``, ``_SharedCells``), and
-    returns that table. Keys
-    the table lacks are added in the order first tallied, so a table shared
-    by every note of a corpus holds each key where the walk first met it.
+    returns that table. Keys the table lacks are added in the order first
+    tallied, so a table shared by every note of a corpus holds each key
+    where the walk first met it.
 
-    Gold's events are sorted and its attribute index built here, once. Each
-    gold event's slots are built on first use and kept by event id, so the
-    first prediction warns as a lone one would and gold never warns twice."""
+    Gold's events are sorted here, once. Slots are built per note, not per
+    event (``_note_slots``): each prediction's when it is tallied, then
+    gold's at the first prediction, kept for the rest. So a note's warnings
+    come as the prediction's, in its events' file order, then gold's, once,
+    then the next prediction's."""
     rows, tail = _ordered_rows(gold)
-    attrs = gold.attribute_index()
-    kept: dict[str, list[tuple]] = {}
-
-    def gold_slots(event: EventAnnotation) -> list[tuple]:
-        slots = kept.get(event.id)
-        if slots is None:
-            slots = kept[event.id] = _slots(gold, event, table, schema, attrs)
-        return slots
+    gold_slots = None
 
     def tally(pred: Document, cells: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
+        nonlocal gold_slots
+        pred_slots = _note_slots(pred, table, schema)
+        if gold_slots is None:
+            gold_slots = _note_slots(gold, table, schema)
         matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
-        pred_attrs = pred.attribute_index()
         for g_event, p_event in matched:
-            pred_slots = _slots(pred, p_event, table, schema, pred_attrs)
-            g_slots = gold_slots(g_event)
-            if pred_slots == g_slots:  # all tp, as the loop below would find
+            p_slots = pred_slots[p_event.id]
+            g_slots = gold_slots[g_event.id]
+            if p_slots == g_slots:  # all tp, as the loop below would find
                 for key, _ in g_slots:
                     cells[key][0] += 1
                 continue
             for slot in g_slots:
-                if slot in pred_slots:
-                    pred_slots.remove(slot)
+                if slot in p_slots:
+                    p_slots.remove(slot)
                     cells[slot[0]][0] += 1
                 else:
                     cells[slot[0]][1] += 1
-            for key, _ in pred_slots:
+            for key, _ in p_slots:
                 cells[key][2] += 1
         for g_event in unmatched_gold:
-            for key, _ in gold_slots(g_event):
+            for key, _ in gold_slots[g_event.id]:
                 cells[key][1] += 1
         for p_event in unmatched_pred:
-            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):
+            for key, _ in pred_slots[p_event.id]:
                 cells[key][2] += 1
         return cells
 
@@ -469,9 +478,9 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     to the note's [tp, fn, fp] cells. A matched pair's shared slots are tp
     (min(n, m) for a slot gold fills n times and pred m), its gold-only
     slots fn and its pred-only slots fp. An unmatched gold (pred) event's
-    slots are fn (fp) by key, with no comparison. Warnings come in that
-    order, pred before gold within a pair. Raises ScoringError when the
-    notes differ in doc_id or in text."""
+    slots are fn (fp) by key, with no comparison. The prediction's warnings
+    come first, in its events' file order, then gold's. Raises ScoringError
+    when the notes differ in doc_id or in text."""
     _check_pair(gold, pred)
     return _score_counts(_gold_note(gold, _role_table(schema), schema)(pred, _new_cells()))
 
@@ -481,12 +490,14 @@ def _corpus_cells(
 ) -> Iterator[tuple[str, Callable, list[Document]]]:
     """``(doc_id, tally, [predicted note per prediction])`` for every gold
     note, in sorted doc_id order: one pass over gold, each note prepared once
-    (``_gold_note``). The caller runs ``tally(pred_doc, cells)`` for each
-    prediction in input order, into the table of plain cells its view
-    reports: one table for the corpus (``score_corpus``), a fresh one
-    (``_new_cells``) per note (``per_document_counts``), or one table for
-    the call whose keys share cells (``_SharedCells``) that the view reads
-    and zeroes after each note (the density table, the bootstrap's totals).
+    (``_gold_note``: its slots are built once, so a note's warnings come as
+    the first prediction's, gold's, then each later prediction's). The
+    caller runs ``tally(pred_doc, cells)`` for each prediction in input
+    order, into the table of plain cells its view reports: one table for
+    the corpus (``score_corpus``), a fresh one (``_new_cells``) per note
+    (``per_document_counts``), or one table for the call whose keys share
+    cells (``_SharedCells``) that the view reads and zeroes after each note
+    (the density table, the bootstrap's totals).
 
     Before any note is scored, each prediction is checked in input order:
     a predicted note absent from gold is an error, then a note whose text

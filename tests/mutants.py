@@ -48,10 +48,10 @@ MUTANTS = (
     Mutant(
         "equal-slot-shortcut-tallies-fn",
         "scoring.py",
-        "            if pred_slots == g_slots:  # all tp, as the loop below would find\n"
+        "            if p_slots == g_slots:  # all tp, as the loop below would find\n"
         "                for key, _ in g_slots:\n"
         "                    cells[key][0] += 1\n",
-        "            if pred_slots == g_slots:  # all tp, as the loop below would find\n"
+        "            if p_slots == g_slots:  # all tp, as the loop below would find\n"
         "                for key, _ in g_slots:\n"
         "                    cells[key][1] += 1\n",
         ("tests/test_differential.py",),
@@ -112,16 +112,16 @@ MUTANTS = (
     Mutant(
         "span-only-argument-matches-on-start",
         "scoring.py",
-        "            slots.append((key, doc.text_bounds[target].fragments))\n",
-        "            slots.append((key, doc.text_bounds[target].fragments[0][0]))\n",
+        "                slots.append((key, text_bounds[target].fragments))\n",
+        "                slots.append((key, text_bounds[target].fragments[0][0]))\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
         # A labeled argument matches on its subtype alone, whatever its span.
         "labeled-argument-matches-on-span-too",
         "scoring.py",
-        "        slots.append(slot)\n",
-        "        slots.append((slot[0], (slot[1], doc.text_bounds[target].fragments)))\n",
+        "            slots.append(slot)\n",
+        "            slots.append((slot[0], (slot[1], text_bounds[target].fragments)))\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
@@ -129,18 +129,18 @@ MUTANTS = (
         # not one tp alone.
         "matched-slot-removes-every-copy",
         "scoring.py",
-        "                    pred_slots.remove(slot)\n",
-        "                    pred_slots = [s for s in pred_slots if s != slot]\n",
+        "                    p_slots.remove(slot)\n",
+        "                    p_slots = [s for s in p_slots if s != slot]\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
         "unmatched-gold-tallied-as-fp",
         "scoring.py",
         "        for g_event in unmatched_gold:\n"
-        "            for key, _ in gold_slots(g_event):\n"
+        "            for key, _ in gold_slots[g_event.id]:\n"
         "                cells[key][1] += 1\n",
         "        for g_event in unmatched_gold:\n"
-        "            for key, _ in gold_slots(g_event):\n"
+        "            for key, _ in gold_slots[g_event.id]:\n"
         "                cells[key][2] += 1\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
@@ -148,11 +148,32 @@ MUTANTS = (
         "unmatched-prediction-tallied-as-fn",
         "scoring.py",
         "        for p_event in unmatched_pred:\n"
-        "            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):\n"
+        "            for key, _ in pred_slots[p_event.id]:\n"
         "                cells[key][2] += 1\n",
         "        for p_event in unmatched_pred:\n"
-        "            for key, _ in _slots(pred, p_event, table, schema, pred_attrs):\n"
+        "            for key, _ in pred_slots[p_event.id]:\n"
         "                cells[key][1] += 1\n",
+        ("tests/test_scoring.py", "tests/test_differential.py"),
+    ),
+    Mutant(
+        # Gold's slots would be built again for every prediction, and its
+        # warnings printed once per prediction.
+        "gold-slots-rebuilt-per-prediction",
+        "scoring.py",
+        "        if gold_slots is None:\n"
+        "            gold_slots = _note_slots(gold, table, schema)\n",
+        "        gold_slots = _note_slots(gold, table, schema)\n",
+        ("tests/test_significance.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        # Gold's labeled arguments would take the prediction's subtypes, so
+        # a flipped subtype would score as a match.
+        "gold-slots-read-prediction-attributes",
+        "scoring.py",
+        "            gold_slots = _note_slots(gold, table, schema)\n",
+        "            gold_slots = _note_slots(\n"
+        "                Document(gold.doc_id, gold.text, gold.text_bounds, gold.events,\n"
+        "                         pred.attributes), table, schema)\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import slotscore
+from slotscore import reports
 from slotscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from slotscore.schema import load_schema
 from slotscore.standoff import (
@@ -214,6 +215,38 @@ def test_validate_triggerless_event(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == EXIT_DATA
     out = capsys.readouterr().out
     assert "exactly one trigger" in out
+
+
+@pytest.mark.parametrize("breaker", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+def test_render_refuses_a_tsv_cell_that_would_break_its_row(breaker):
+    rows = [{"doc_id": "n1", "message": "fine"}, {"doc_id": f"a{breaker}b", "message": "fine"}]
+    columns = ("doc_id", "message")
+    with pytest.raises(ValueError, match=r"^column 'doc_id' value .* use --format json$"):
+        reports.render(rows, columns, "tsv")
+    with pytest.raises(ValueError, match=r"^header 'note' value .* use --format json$"):
+        reports.render(rows[:1], columns, "tsv", {"note": f"x{breaker}y"})
+    # JSON escapes the same values
+    assert json.loads(reports.render(rows, columns, "json"))["rows"][1]["doc_id"] == f"a{breaker}b"
+    assert reports.render(rows[:1], columns, "tsv") == "doc_id\tmessage\nn1\tfine\n"
+
+
+def test_validate_tsv_refuses_a_note_named_with_a_tab(tmp_path, capsys):
+    # The doc_id cell would split the row into five fields under a
+    # four-column header; JSON reports it.
+    (tmp_path / "a\tb.txt").write_text("pt smokes\n", encoding="utf-8")
+    (tmp_path / "a\tb.ann").write_text("T1\tTobacco 3 9\tsmokes\nE1\tTobacco:T1\n",
+                                        encoding="utf-8")
+    assert main(["validate", str(tmp_path)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "slotscore: error: column 'doc_id' value 'a\\tb' holds a tab, CR or LF, "
+        "which a TSV cell cannot; use --format json\n"
+    )
+    assert main(["validate", str(tmp_path), "--format", "json"]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert json.JSONDecoder().raw_decode(out)[0]["rows"][0]["doc_id"] == "a\tb"
+    assert err == ""
 
 
 def test_stats_three_partition_fixture(tmp_path, shac, capsys):
@@ -539,7 +572,7 @@ def test_unlistable_gold_directory_is_data_error(fixture_dirs, refuse_listing, c
 def test_compare_warnings_are_pinned(tmp_path):
     # Text, count and order of what compare prints to stderr. Gold's slots
     # are built once for both systems, so every gold warning is printed once,
-    # and within a matched pair the prediction's warnings come first.
+    # after the first prediction's warnings for the note.
     ann = (
         "T1\tDrug 0 7\tcocaine\nT2\tStatusTime 8 13\tdaily\nT3\tAmount 14 19\theavy\n"
         "E1\tDrug:T1 Status:T2 Amount:T3\n"
@@ -564,14 +597,14 @@ def test_compare_warnings_are_pinned(tmp_path):
         "WARNING:slotscore.scoring:n1: role Amount on E1 is not declared for Drug; "
         "skipping in scoring\n"
     )
-    # system A: pred, then gold, of the matched pair; system B: nothing
+    # system A's prediction, then gold; system B: nothing
     assert run.stderr == (missing + undeclared) * 2
 
 
 def test_compare_warns_per_note_system_a_then_system_b(tmp_path):
     # Two notes, each with one warning from gold, A and B. Per note: A's
-    # matched pair (its prediction, then gold), then B's prediction; gold's
-    # warning is not printed again for B.
+    # prediction, then gold, then B's prediction; gold's warning is not
+    # printed again for B.
     text = "cocaine daily heavy\n"
     for name, role in (("gold", "GoldOnly"), ("a", "SysA"), ("b", "SysB")):
         (tmp_path / name).mkdir()
@@ -593,6 +626,36 @@ def test_compare_warns_per_note_system_a_then_system_b(tmp_path):
         "skipping in scoring\n"
         for doc_id in ("n1", "n2")
         for role in ("SysA", "GoldOnly", "SysB")
+    )
+
+
+def test_compare_warns_per_note_in_file_order_a_then_gold_then_b(tmp_path):
+    # Two warning events per note in gold, A and B, listed against trigger
+    # order (E2's trigger comes after E1's). Slots are built per note, so
+    # per note: A's events in file order, then gold's, then B's.
+    text = "cocaine daily heavy\n"
+    for name, role in (("gold", "GoldOnly"), ("a", "SysA"), ("b", "SysB")):
+        (tmp_path / name).mkdir()
+        for doc_id in ("n1", "n2"):
+            (tmp_path / name / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+            (tmp_path / name / f"{doc_id}.ann").write_text(
+                "T1\tDrug 0 7\tcocaine\nT2\tAmount 14 19\theavy\nT3\tDrug 8 13\tdaily\n"
+                f"E2\tDrug:T3 {role}:T2\nE1\tDrug:T1 {role}:T2\n",
+                encoding="utf-8",
+            )
+    run = subprocess.run(
+        [sys.executable, "-m", "slotscore.cli", "compare",
+         *(str(tmp_path / name) for name in ("gold", "a", "b")), "--reps", "20"],
+        env=_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "F1 A=1.000000 B=1.000000" in run.stdout
+    assert run.stderr == "".join(
+        f"WARNING:slotscore.scoring:{doc_id}: role {role} on {event_id} is not declared "
+        "for Drug; skipping in scoring\n"
+        for doc_id in ("n1", "n2")
+        for role in ("SysA", "GoldOnly", "SysB")
+        for event_id in ("E2", "E1")
     )
 
 

@@ -297,7 +297,9 @@ WARNING_TEXT = "drugs current cocaine wine past smokes now"
 
 def test_scoring_warnings_text_count_and_order(shac, caplog):
     # gold E1 and pred E1 align; gold E2 and pred E3 stay unmatched; gold E4
-    # has an undeclared type, whose arguments are skipped without a word
+    # has an undeclared type, whose arguments are skipped without a word.
+    # Slots are built per note: every pred event's warnings in file order,
+    # then every gold event's, whatever the alignment.
     gold = _doc(
         "T1\tDrug 0 5\tdrugs\n"
         "T2\tStatusTime 6 13\tcurrent\n"
@@ -325,12 +327,12 @@ def test_scoring_warnings_text_count_and_order(shac, caplog):
     assert [r.getMessage() for r in caplog.records if r.name == "slotscore.scoring"] == [
         "n1: labeled argument StatusTime on E1 has no StatusTime attribute; scoring as <missing>",
         "n1: role Strange on E1 is not declared for Drug; skipping in scoring",
+        "n1: labeled argument StatusTime on E3 has no StatusTime attribute; scoring as <missing>",
+        "n1: role Weird on E3 is not declared for Tobacco; skipping in scoring",
         "n1: labeled argument StatusTime on E1 has no StatusTime attribute; scoring as <missing>",
         "n1: role Weird on E1 is not declared for Drug; skipping in scoring",
         "n1: role Odd on E2 is not declared for Alcohol; skipping in scoring",
         "n1: labeled argument StatusTime on E2 has no StatusTime attribute; scoring as <missing>",
-        "n1: labeled argument StatusTime on E3 has no StatusTime attribute; scoring as <missing>",
-        "n1: role Weird on E3 is not declared for Tobacco; skipping in scoring",
     ]
 
 

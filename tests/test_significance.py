@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slotscore import significance
+from slotscore import scoring, significance
 from slotscore.significance import (
     BootstrapConfig,
     BootstrapResult,
@@ -167,6 +167,32 @@ def test_resampler_equals_per_rep_loop(shac, seed):
         expected.append(f1_a - f1_b)
     assert result.deltas == tuple(expected)
     assert 0.0 in result.deltas and any(d > 0.0 for d in result.deltas)
+
+
+def test_note_totals_builds_each_notes_slots_once(shac, small_world, monkeypatch):
+    # Gold's slots are built once per note, at the first prediction, and
+    # each prediction's once per note, however many predictions there are.
+    gold, degraded = small_world
+    other, _ = perturb(gold, GeneratorConfig(seed=101, notes=20, span_edit=0.3), shac)
+    preds = (degraded, other, _empty_like(gold))
+    corpora = {"gold": gold, "a": preds[0], "b": preds[1], "c": preds[2]}
+    builds = []
+    note_slots = scoring._note_slots
+
+    def counting(doc, table, schema):
+        which = next(k for k, c in corpora.items() if c.documents[doc.doc_id] is doc)
+        builds.append((doc.doc_id, which))
+        return note_slots(doc, table, schema)
+
+    monkeypatch.setattr(scoring, "_note_slots", counting)
+    totals = _note_totals(gold, preds, shac)
+    monkeypatch.undo()
+    assert builds == [
+        (doc_id, which) for doc_id in gold.doc_ids() for which in ("a", "gold", "b", "c")
+    ]
+    assert np.array_equal(
+        totals, np.hstack([_note_totals(gold, (pred,), shac) for pred in preds])
+    )
 
 
 def _reference_sums(totals, seed, reps):
