@@ -9,7 +9,9 @@ scorer's plain cells, with no ``PhenomenonKey`` made. Each view tallies
 straight into the table it reports and builds no record or table per note:
 the density table adds every note into two cells per event type that live
 for the whole call, folds them into its buckets after each note and zeroes
-them, and the statistics look each labeled role up once per call.
+them, and the statistics take the labeled roles from the schema's role
+table (``AnnotationSchema._roles``) once per call, each with counts of
+its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .schema import LABELED, AnnotationSchema
+from .schema import AnnotationSchema
 from .scoring import (
     LABELED_ARG,
     MISSING_SUBTYPE,
@@ -53,14 +55,13 @@ class CorpusStats:
 
 def corpus_stats(corpus: Corpus, schema: AnnotationSchema) -> CorpusStats:
     """Exact counts; averages are event count over note count."""
-    # Each labeled role, looked up once per call: {event type: {role: (spec,
-    # {subtype: count})}}. Keyed by event type and role, never by spec alone:
-    # specs compare by value, and several event types declare an equal one.
+    # Each labeled role of the schema's role table, with this call's counts:
+    # {event type: {role: (spec, {subtype: count})}}. Keyed by event type and
+    # role, never by spec alone: specs compare by value, and several event
+    # types declare an equal one.
     labeled = {
-        event_spec.event_type: {
-            role: (spec, {}) for role, spec in event_spec.roles.items() if spec.kind == LABELED
-        }
-        for event_spec in schema.events
+        event_type: {role: (spec, {}) for role, (spec, key, _) in roles.items() if key is None}
+        for event_type, (_, roles, _) in schema._roles.items()
     }
     partitions: Counter = Counter()
     events_by_type: dict[str, int] = {}

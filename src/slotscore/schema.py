@@ -20,6 +20,12 @@ from .standoff import Document, annotation_sort_key
 SPAN_ONLY = "span_only"
 LABELED = "labeled"
 
+# What a scored slot is about, the first field of its key.
+TRIGGER = "trigger"
+SPAN_ONLY_ARG = "span_only_arg"
+LABELED_ARG = "labeled_arg"
+KINDS = (TRIGGER, SPAN_ONLY_ARG, LABELED_ARG)
+
 
 class SchemaError(Exception):
     """The schema config is malformed or self-inconsistent."""
@@ -98,9 +104,13 @@ class AnnotationSchema:
     argument's subtype attribute: the argument's text-bound (False) or the
     event (True). ``subtype_key`` is the one statement of that rule.
 
-    The rules ``validate_document`` reads are built once, with the schema:
-    ``{event type: ({role: (spec, subtype vocabulary as a set)}, required
-    specs)}``. They are keyed by event type and role, never by spec alone:
+    The one role table, ``_roles``, is built with the schema: ``{event type:
+    (trigger slot, {role: (spec, span-only key or None, {declared subtype:
+    labeled slot} or None), required specs)}``. A key is a plain (kind,
+    event type, argument type, subtype) tuple and a slot a (key, match
+    value) pair. Scoring, statistics and validation all resolve a role
+    through it, and it never changes: a subtype outside the vocabulary gets
+    no slot here. It is keyed by event type and role, never by spec alone:
     specs compare by value, and several event types declare an equal one.
     """
 
@@ -108,9 +118,7 @@ class AnnotationSchema:
     version: str = ""
     attributes_on_events: bool = False
     _by_type: dict[str, EventSpec] = field(init=False, repr=False, compare=False)
-    _rules: dict[str, tuple[dict, tuple[ArgumentSpec, ...]]] = field(
-        init=False, repr=False, compare=False
-    )
+    _roles: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -118,13 +126,17 @@ class AnnotationSchema:
         if len(set(types)) != len(types):
             raise SchemaError("duplicate event types in schema")
         object.__setattr__(self, "_by_type", {e.event_type: e for e in self.events})
-        object.__setattr__(self, "_rules", {
-            e.event_type: (
-                {role: (spec, frozenset(spec.subtypes)) for role, spec in e.roles.items()},
-                e.required_arguments(),
-            )
-            for e in self.events
-        })
+        table = {}
+        for e in self.events:
+            t = e.event_type
+            table[t] = (((TRIGGER, t, None, None), None), {
+                role: (spec, (SPAN_ONLY_ARG, t, spec.argument_type, None), None)
+                if spec.kind == SPAN_ONLY else (spec, None, {
+                    s: ((LABELED_ARG, t, spec.argument_type, s), s) for s in spec.subtypes
+                })
+                for role, spec in e.roles.items()
+            }, e.required_arguments())
+        object.__setattr__(self, "_roles", table)
 
     def event(self, event_type: str) -> EventSpec | None:
         return self._by_type.get(event_type)
@@ -288,11 +300,11 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
     attrs = doc.attribute_index()
 
     for event in doc.events.values():
-        event_rules = schema._rules.get(event.event_type)
-        if event_rules is None:
+        entry = schema._roles.get(event.event_type)
+        if entry is None:
             report(event.id, RULE_EVENT_TYPE, f"event type {event.event_type} is not declared")
             continue
-        roles, required = event_rules
+        _, roles, required = entry
         if event.trigger is None or event.trigger not in doc.text_bounds:
             report(event.id, RULE_TRIGGER, f"event {event.id} has no resolvable trigger")
 
@@ -306,7 +318,7 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
                     f"role {role} is not declared for event type {event.event_type}",
                 )
                 continue
-            arg_spec, vocabulary = found
+            arg_spec, _, vocabulary = found
             seen_roles.add(role)
             tb = doc.text_bounds.get(target)
             if tb is not None and tb.label != arg_spec.argument_type:
@@ -315,7 +327,7 @@ def validate_document(doc: Document, schema: AnnotationSchema) -> list[Violation
                     RULE_ARG_TYPE,
                     f"argument {target} has label {tb.label}, expected {arg_spec.argument_type}",
                 )
-            if arg_spec.kind == LABELED:
+            if vocabulary is not None:
                 key = schema.subtype_key(event.id, target, arg_spec)
                 sanctioned_attrs.add(key)
                 attr = attrs.get(key)

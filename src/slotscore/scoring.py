@@ -15,21 +15,24 @@ kept. So a note's warnings come as the first prediction's, gold's once,
 then each later prediction's. Each prediction's events are then sorted and
 matched to gold's by the one alignment core that ``align_events`` also
 wraps, and the walk adds into a table of plain cells, ``(kind, event type,
-argument type, subtype) -> [tp, fn, fp]``, that the caller passes. ``_corpus_cells`` makes one pass over gold
-for any number of predictions, and each corpus-level view tallies into the
-table it reports: ``score_corpus`` (and so the subtype table) puts every
-note into one corpus table, and ``per_document_counts``, which returns a
-table per note, gives each note a table of its own. The per-note views build no table per note:
-the density table and the bootstrap's per-note totals keep one table for
-the call whose keys share a few cells (``_SharedCells``), and read and zero
-those cells after each note. A ``PhenomenonKey`` is made once per key, and
-only where a ``ScoreCounts`` is returned.
+argument type, subtype) -> [tp, fn, fp]``, that the caller passes.
+``_corpus_cells`` makes one pass over gold for any number of predictions,
+and each corpus-level view tallies into the table it reports:
+``score_corpus`` (and so the subtype table) puts every note into one
+corpus table, and ``per_document_counts``, which returns a table per note,
+gives each note a table of its own. The per-note views build no table per
+note: the density table and the bootstrap's per-note totals keep one table
+for the call whose keys share a few cells (``_SharedCells``), and read and
+zero those cells after each note. A ``PhenomenonKey`` is made once per
+key, and only where a ``ScoreCounts`` is returned.
 
 The schema owns the two rules every labeled-argument score rests on: a
-role resolves through its event type's role table (``EventSpec.roles``),
-and ``AnnotationSchema.subtype_key`` says which attribute carries the
-subtype. A scoring call copies the first into one table of plain keys and
-shared slots (``_role_table``) and asks ``subtype_key`` for the second.
+role resolves, to its key or its declared subtypes' slots, through the
+role table the schema builds once (``AnnotationSchema._roles``), which
+statistics and validation read too; and ``AnnotationSchema.subtype_key``
+says which attribute carries the subtype. Scoring builds no table of its
+own, so every note of every call shares the schema's trigger slots and
+declared labeled slots, and most slot comparisons end at an identity test.
 
 Gold and predicted notes must index the same text, or equal offsets would
 not mean equal characters: a predicted note whose text differs from gold's
@@ -45,7 +48,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .schema import SPAN_ONLY, AnnotationSchema
+from .schema import KINDS, LABELED_ARG, SPAN_ONLY_ARG, TRIGGER, AnnotationSchema
 from .standoff import (
     Corpus,
     Document,
@@ -55,11 +58,6 @@ from .standoff import (
 )
 
 logger = logging.getLogger(__name__)
-
-TRIGGER = "trigger"
-SPAN_ONLY_ARG = "span_only_arg"
-LABELED_ARG = "labeled_arg"
-KINDS = (TRIGGER, SPAN_ONLY_ARG, LABELED_ARG)
 
 # Labeled arguments whose subtype attribute is absent score under this
 # sentinel so broken prediction files remain scorable; it equals only
@@ -300,49 +298,31 @@ def align_events(gold: Document, pred: Document) -> EventAlignment:
 # Slots
 # ---------------------------------------------------------------------------
 
-def _role_table(schema: AnnotationSchema) -> dict[str, tuple]:
-    """``{event type: (trigger slot, {role: (spec, span-only key or None,
-    labeled slots)})}`` for every declared event type, so ``_note_slots`` asks
-    the schema nothing per event. A labeled role's slots, ``{subtype: slot}``,
-    fill as subtypes are met (a span-only role's are None). So every note
-    shares one trigger slot per type and one labeled slot per subtype, and
-    most slot comparisons end at an identity test. Built once per scoring
-    call, never kept between calls."""
-    table = {}
-    for event_spec in schema.events:
-        event_type = event_spec.event_type
-        table[event_type] = (
-            ((TRIGGER, event_type, None, None), None),
-            {
-                role: (spec, (SPAN_ONLY_ARG, event_type, spec.argument_type, None), None)
-                if spec.kind == SPAN_ONLY else (spec, None, {})
-                for role, spec in event_spec.roles.items()
-            },
-        )
-    return table
-
-
-def _note_slots(doc: Document, table: dict[str, tuple],
-                schema: AnnotationSchema) -> dict[str, list[tuple]]:
+def _note_slots(doc: Document, schema: AnnotationSchema) -> dict[str, list[tuple]]:
     """The slots every event of a note fills, ``{event id: [(key, match
     value), ...]}``, from one walk over the events in file order: an event's
     trigger (match value None), then in argument order each span-only
     argument (its fragments) and each labeled argument (its subtype). The
     key is a plain (kind, event type, argument type, subtype) tuple. Keys,
-    and the trigger and labeled slots, come from ``table`` (``_role_table``).
-    A labeled argument's subtype is read from the note's attribute index
-    (``doc.attribute_index()``, built here once) at ``schema.subtype_key``;
-    a missing one is scored as ``MISSING_SUBTYPE``, with a warning.
-    Undeclared roles are not scorable phenomena: they are skipped with a
-    warning (validation reports them), and an undeclared event type fills
-    its trigger slot only."""
+    the trigger slots and the slots of declared subtypes come from the
+    schema's role table (``AnnotationSchema._roles``); a subtype outside the
+    vocabulary gets a slot of its own each time it occurs, so the table
+    never grows. A labeled argument's subtype is read from the note's
+    attribute index (``doc.attribute_index()``, built here once; a note
+    with no events returns before building it) at ``schema.subtype_key``; a
+    missing one is scored as ``MISSING_SUBTYPE``, with a warning. Undeclared
+    roles are not scorable phenomena: they are skipped with a warning
+    (validation reports them), and an undeclared event type fills its
+    trigger slot only."""
+    if not doc.events:
+        return {}
     attrs = doc.attribute_index()
-    text_bounds, subtype_key = doc.text_bounds, schema.subtype_key
+    text_bounds, subtype_key, table = doc.text_bounds, schema.subtype_key, schema._roles
     note = {}
     for event in doc.events.values():
         event_type = event.event_type
         try:
-            trigger_slot, roles = table[event_type]
+            trigger_slot, roles, _ = table[event_type]
         except KeyError:
             note[event.id] = [((TRIGGER, event_type, None, None), None)]
             continue
@@ -368,12 +348,8 @@ def _note_slots(doc: Document, table: dict[str, tuple],
                     MISSING_SUBTYPE,
                 )
                 subtype = MISSING_SUBTYPE
-            try:
-                slot = labeled[subtype]
-            except KeyError:
-                key = (LABELED_ARG, event_type, spec.argument_type, subtype)
-                slot = labeled[subtype] = (key, subtype)
-            slots.append(slot)
+            slots.append(labeled.get(subtype)
+                         or ((LABELED_ARG, event_type, spec.argument_type, subtype), subtype))
     return note
 
 
@@ -418,7 +394,7 @@ class _SharedCells(dict):
 
 
 def _gold_note(
-    gold: Document, table: dict[str, tuple], schema: AnnotationSchema
+    gold: Document, schema: AnnotationSchema
 ) -> Callable[[Document, dict[tuple, list[int]]], dict[tuple, list[int]]]:
     """Prepare one gold note for any number of predictions, and return the
     function that tallies one of them (already checked by ``_check_pair``)
@@ -438,9 +414,9 @@ def _gold_note(
 
     def tally(pred: Document, cells: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
         nonlocal gold_slots
-        pred_slots = _note_slots(pred, table, schema)
+        pred_slots = _note_slots(pred, schema)
         if gold_slots is None:
-            gold_slots = _note_slots(gold, table, schema)
+            gold_slots = _note_slots(gold, schema)
         matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
         for g_event, p_event in matched:
             p_slots = pred_slots[p_event.id]
@@ -482,7 +458,7 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     come first, in its events' file order, then gold's. Raises ScoringError
     when the notes differ in doc_id or in text."""
     _check_pair(gold, pred)
-    return _score_counts(_gold_note(gold, _role_table(schema), schema)(pred, _new_cells()))
+    return _score_counts(_gold_note(gold, schema)(pred, _new_cells()))
 
 
 def _corpus_cells(
@@ -514,7 +490,6 @@ def _corpus_cells(
             if pred_doc is None:
                 continue
             _check_pair(gold_docs[doc_id], pred_doc)
-    table = _role_table(schema)
     for doc_id in doc_ids:
         gold_doc = gold_docs[doc_id]
         pred_docs = []
@@ -523,7 +498,7 @@ def _corpus_cells(
             if pred_doc is None:
                 pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
             pred_docs.append(pred_doc)
-        yield doc_id, _gold_note(gold_doc, table, schema), pred_docs
+        yield doc_id, _gold_note(gold_doc, schema), pred_docs
 
 
 def per_document_counts(

@@ -92,15 +92,45 @@ MUTANTS = (
         "stats-keyed-by-spec-alone",
         "analytics.py",
         "    labeled = {\n"
-        "        event_spec.event_type: {\n"
-        "            role: (spec, {}) for role, spec in event_spec.roles.items()"
-        " if spec.kind == LABELED\n",
+        "        event_type: {role: (spec, {}) for role, (spec, key, _) in roles.items()"
+        " if key is None}\n",
         "    by_spec: dict = {}\n"
         "    labeled = {\n"
-        "        event_spec.event_type: {\n"
-        "            role: (spec, by_spec.setdefault(spec, {}))\n"
-        "            for role, spec in event_spec.roles.items() if spec.kind == LABELED\n",
+        "        event_type: {role: (spec, by_spec.setdefault(spec, {}))\n"
+        "                     for role, (spec, key, _) in roles.items() if key is None}\n",
         ("tests/test_differential.py", "tests/test_analytics.py"),
+    ),
+    Mutant(
+        # The same specs, shared the other way: Drug's and Tobacco's Status
+        # slots would be Alcohol's, keyed by Alcohol's name.
+        "labeled-slots-shared-by-spec",
+        "schema.py",
+        "        table = {}\n"
+        "        for e in self.events:\n"
+        "            t = e.event_type\n"
+        "            table[t] = (((TRIGGER, t, None, None), None), {\n"
+        "                role: (spec, (SPAN_ONLY_ARG, t, spec.argument_type, None), None)\n"
+        "                if spec.kind == SPAN_ONLY else (spec, None, {\n"
+        "                    s: ((LABELED_ARG, t, spec.argument_type, s), s) for s in spec.subtypes\n"
+        "                })\n",
+        "        table, by_spec = {}, {}\n"
+        "        for e in self.events:\n"
+        "            t = e.event_type\n"
+        "            table[t] = (((TRIGGER, t, None, None), None), {\n"
+        "                role: (spec, (SPAN_ONLY_ARG, t, spec.argument_type, None), None)\n"
+        "                if spec.kind == SPAN_ONLY else (spec, None, by_spec.setdefault(spec, {\n"
+        "                    s: ((LABELED_ARG, t, spec.argument_type, s), s) for s in spec.subtypes\n"
+        "                }))\n",
+        ("tests/test_scoring.py", "tests/test_differential.py", "tests/test_schema.py"),
+    ),
+    Mutant(
+        # Every labeled argument's subtype would be looked up on the other
+        # annotation: scoring, statistics and validation all read this rule.
+        "subtype-carrier-flipped",
+        "schema.py",
+        "        return (event_id if self.attributes_on_events else target, spec.attribute_name)\n",
+        "        return (target if self.attributes_on_events else event_id, spec.attribute_name)\n",
+        ("tests/test_scoring.py", "tests/test_analytics.py", "tests/test_schema.py"),
     ),
     Mutant(
         "vocabulary-check-inverted",
@@ -120,7 +150,10 @@ MUTANTS = (
         # A labeled argument matches on its subtype alone, whatever its span.
         "labeled-argument-matches-on-span-too",
         "scoring.py",
-        "            slots.append(slot)\n",
+        "            slots.append(labeled.get(subtype)\n"
+        "                         or ((LABELED_ARG, event_type, spec.argument_type, subtype), subtype))\n",
+        "            slot = (labeled.get(subtype)\n"
+        "                    or ((LABELED_ARG, event_type, spec.argument_type, subtype), subtype))\n"
         "            slots.append((slot[0], (slot[1], text_bounds[target].fragments)))\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
@@ -161,8 +194,8 @@ MUTANTS = (
         "gold-slots-rebuilt-per-prediction",
         "scoring.py",
         "        if gold_slots is None:\n"
-        "            gold_slots = _note_slots(gold, table, schema)\n",
-        "        gold_slots = _note_slots(gold, table, schema)\n",
+        "            gold_slots = _note_slots(gold, schema)\n",
+        "        gold_slots = _note_slots(gold, schema)\n",
         ("tests/test_significance.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -170,10 +203,10 @@ MUTANTS = (
         # a flipped subtype would score as a match.
         "gold-slots-read-prediction-attributes",
         "scoring.py",
-        "            gold_slots = _note_slots(gold, table, schema)\n",
+        "            gold_slots = _note_slots(gold, schema)\n",
         "            gold_slots = _note_slots(\n"
         "                Document(gold.doc_id, gold.text, gold.text_bounds, gold.events,\n"
-        "                         pred.attributes), table, schema)\n",
+        "                         pred.attributes), schema)\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(

@@ -1,6 +1,8 @@
 import pytest
 
 from slotscore.schema import (
+    LABELED,
+    LABELED_ARG,
     RULE_ARG_TYPE,
     RULE_ATTRIBUTE,
     RULE_EVENT_TYPE,
@@ -9,6 +11,8 @@ from slotscore.schema import (
     RULE_SUBTYPE_MISSING,
     RULE_SUBTYPE_VOCAB,
     RULE_TRIGGER,
+    SPAN_ONLY_ARG,
+    TRIGGER,
     SchemaError,
     canonical_name,
     load_schema,
@@ -48,6 +52,31 @@ def test_shac_one_role_per_argument_type(shac):
     for event in shac.events:
         roles = [a.role for a in event.arguments]
         assert len(roles) == len(set(roles))
+
+
+def test_role_table_gives_each_event_type_slots_of_its_own(shac):
+    # Alcohol, Drug and Tobacco declare equal StatusTime specs; each type's
+    # slots still carry its own name, in a dict of its own.
+    assert list(shac._roles) == list(shac.event_types())
+    labeled_slots = []
+    for event in shac.events:
+        t = event.event_type
+        trigger, roles, required = shac._roles[t]
+        assert trigger == ((TRIGGER, t, None, None), None)
+        assert required is event.required_arguments()
+        assert list(roles) == [a.role for a in event.arguments]
+        for role, (spec, key, slots) in roles.items():
+            assert spec is event.roles[role]
+            if spec.kind == LABELED:
+                assert key is None
+                assert slots == {
+                    s: ((LABELED_ARG, t, spec.argument_type, s), s) for s in spec.subtypes
+                }
+                labeled_slots.append(slots)
+            else:
+                assert key == (SPAN_ONLY_ARG, t, spec.argument_type, None) and slots is None
+    assert len(labeled_slots) == 6  # three StatusTime, StatusEmploy, TypeLiving, StatusLiving
+    assert len({id(slots) for slots in labeled_slots}) == len(labeled_slots)
 
 
 def test_required_arguments_are_built_once(shac):

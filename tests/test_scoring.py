@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotscore.reports import METRIC_COLUMNS, metric_rows, render
-from slotscore.schema import AnnotationSchema
+from slotscore.schema import AnnotationSchema, load_schema
 from slotscore.scoring import (
     LABELED_ARG,
     MISSING_SUBTYPE,
@@ -24,6 +25,7 @@ from slotscore.scoring import (
     score_document,
 )
 from oracles import oracle_align, reference_align
+from slotscore.significance import _note_totals
 from slotscore.standoff import Corpus, Document, parse_document
 from slotscore.testkit import GeneratorConfig, generate_gold, identity_counts, perturb
 
@@ -334,6 +336,49 @@ def test_scoring_warnings_text_count_and_order(shac, caplog):
         "n1: role Odd on E2 is not declared for Alcohol; skipping in scoring",
         "n1: labeled argument StatusTime on E2 has no StatusTime attribute; scoring as <missing>",
     ]
+
+
+def _slot_sizes(table):
+    return {
+        (event_type, role): len(slots)
+        for event_type, (_, roles, _) in table.items()
+        for role, (_, _, slots) in roles.items()
+        if slots is not None
+    }
+
+
+def test_scoring_never_grows_the_schemas_role_table():
+    # A subtype outside the vocabulary, or a missing one, gets a slot of its
+    # own each time it occurs; none is kept in the schema's table.
+    config = resources.files("slotscore").joinpath("configs/shac.yaml").read_text(encoding="utf-8")
+    schema = load_schema(config)
+    gold = _corpus(_doc(GOLD_ANN, GOLD_TEXT))
+    outside = _corpus(_doc(GOLD_ANN.replace("T2 current", "T2 weekly"), GOLD_TEXT))
+    missing = _corpus(_doc(GOLD_ANN.replace("A1\tStatusTime T2 current\n", ""), GOLD_TEXT))
+    for _ in range(2):
+        for pred, subtype in ((outside, "weekly"), (missing, MISSING_SUBTYPE)):
+            counts, _ = score_corpus(gold, pred, schema)
+            key = PhenomenonKey(LABELED_ARG, "Drug", "StatusTime", subtype)
+            assert _triple(counts, key) == (0, 0, 1)
+        assert _note_totals(gold, (outside, missing), schema).tolist() == [[2, 1, 1, 2, 1, 1]]
+    fresh = load_schema(config)._roles
+    assert list(schema._roles) == list(fresh)
+    for event_type, entry in fresh.items():
+        assert schema._roles[event_type] == entry
+    assert _slot_sizes(schema._roles) == _slot_sizes(fresh)
+
+
+def test_event_less_notes_build_no_attribute_index(shac, monkeypatch):
+    # A note with no events fills no slot, so it needs no attribute index;
+    # nor does the empty note scored for a gold note a prediction lacks.
+    def refuse(doc):
+        raise AssertionError(f"{doc.doc_id}: attribute index built")
+
+    gold = _corpus(_doc("", "x", "n1"), _doc("", "x", "n2"))
+    pred = _corpus(_doc("", "x", "n1"))
+    monkeypatch.setattr(Document, "attribute_index", refuse)
+    counts, _ = score_corpus(gold, pred, shac)
+    assert counts.counts == {}
 
 
 def test_doc_id_mismatch_raises(shac):

@@ -179,10 +179,10 @@ def test_note_totals_builds_each_notes_slots_once(shac, small_world, monkeypatch
     builds = []
     note_slots = scoring._note_slots
 
-    def counting(doc, table, schema):
+    def counting(doc, schema):
         which = next(k for k, c in corpora.items() if c.documents[doc.doc_id] is doc)
         builds.append((doc.doc_id, which))
-        return note_slots(doc, table, schema)
+        return note_slots(doc, schema)
 
     monkeypatch.setattr(scoring, "_note_slots", counting)
     totals = _note_totals(gold, preds, shac)

@@ -239,7 +239,7 @@ SCHEMA_NAMES_ORACLES_MAY_USE = {
 # The lookups and walkers behind corpus_stats and validate_corpus, which
 # reference_stats and reference_validate restate from the declared rules.
 SCHEMA_LOOKUPS = {"event", "roles", "required_arguments", "subtype_key", "attribute_index"}
-STATS_AND_VALIDATION_WALKERS = {"corpus_stats", "validate_document", "validate_corpus", "_rules"}
+STATS_AND_VALIDATION_WALKERS = {"corpus_stats", "validate_document", "validate_corpus", "_roles"}
 
 
 @pytest.mark.parametrize(
