@@ -7,11 +7,11 @@ document walks of their own: the subtype table is the labeled-argument rows
 of ``score_corpus``'s report, and the density table is read from the
 scorer's plain cells, with no ``PhenomenonKey`` made. Each view tallies
 straight into the table it reports and builds no record or table per note:
-the density table adds every note into two cells per event type that live
-for the whole call, folds them into its buckets after each note and zeroes
-them, and the statistics take the labeled roles from the schema's role
-table (``AnnotationSchema._roles``) once per call, each with counts of
-its own.
+the density table hands the scorer's one pass (``scoring._tally_notes``)
+two cells per event type that live for the whole call, folds them into its
+buckets after each note and zeroes them, and the statistics take the
+labeled roles from the schema's role table (``AnnotationSchema._roles``)
+once per call, each with counts of its own.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .scoring import (
     TRIGGER,
     Counts,
     Metrics,
-    _corpus_cells,
     _SharedCells,
+    _tally_notes,
     score_corpus,
 )
 from .standoff import Corpus
@@ -177,8 +177,7 @@ def density_breakdown(
     # (event type, bucket) -> [notes, gold events, tp, fn, fp]
     table: dict[tuple[str, str], list[int]] = {}
 
-    for _, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema):
-        tally(pred_doc, note_cells)
+    for _ in _tally_notes(gold, (pred,), schema, (note_cells,)):
         for event_type, (trigger, argument) in by_type.items():
             tp, fn, fp = trigger
             arg_tp, arg_fn, arg_fp = argument

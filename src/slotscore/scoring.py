@@ -8,23 +8,21 @@ span-agnostic and match on subtype alone. True positives, false
 negatives, and false positives are tallied per phenomenon (event type x
 argument type x subtype) and micro-averaged.
 
-A gold note is prepared once for every prediction scored against it: its
-events are sorted, and its slots are built by one walk over the note
-(``_note_slots``) at the first prediction, after that prediction's own, and
-kept. So a note's warnings come as the first prediction's, gold's once,
-then each later prediction's. Each prediction's events are then sorted and
-matched to gold's by the one alignment core that ``align_events`` also
-wraps, and the walk adds into a table of plain cells, ``(kind, event type,
-argument type, subtype) -> [tp, fn, fp]``, that the caller passes.
-``_corpus_cells`` makes one pass over gold for any number of predictions,
-and each corpus-level view tallies into the table it reports:
-``score_corpus`` (and so the subtype table) puts every note into one
-corpus table, and ``per_document_counts``, which returns a table per note,
-gives each note a table of its own. The per-note views build no table per
-note: the density table and the bootstrap's per-note totals keep one table
-for the call whose keys share a few cells (``_SharedCells``), and read and
-zero those cells after each note. A ``PhenomenonKey`` is made once per
-key, and only where a ``ScoreCounts`` is returned.
+One function tallies a prediction of a note, ``_tally_note``: it matches
+the prediction's events to gold's by the one alignment core that
+``align_events`` also wraps, then adds each event's slots (``_note_slots``)
+into a table of plain cells, ``(kind, event type, argument type, subtype)
+-> [tp, fn, fp]``, that the caller passes. ``score_document`` calls it for
+one note, and ``_tally_notes`` for every note of a corpus: one pass over
+gold for any number of predictions, which tallies prediction i into the
+caller's table i and yields after each note; it prepares each gold note
+once for every prediction, so gold's slots and warnings come once. Each
+corpus-level view passes the table it reports:
+``score_corpus`` (and so the subtype table) one corpus table; the density
+table and the bootstrap's per-note totals one table for the call whose keys
+share a few cells (``_SharedCells``), which they read and zero after each
+note, so no view builds a table per note. A ``PhenomenonKey`` is made once
+per key, and only where a ``ScoreCounts`` is returned.
 
 The schema owns the two rules every labeled-argument score rests on: a
 role resolves, to its key or its declared subtypes' slots, through the
@@ -393,55 +391,37 @@ class _SharedCells(dict):
         return cell
 
 
-def _gold_note(
-    gold: Document, schema: AnnotationSchema
-) -> Callable[[Document, dict[tuple, list[int]]], dict[tuple, list[int]]]:
-    """Prepare one gold note for any number of predictions, and return the
-    function that tallies one of them (already checked by ``_check_pair``)
-    into a table of plain cells, ``{(kind, event type, argument type,
-    subtype): [tp, fn, fp]}`` (``_new_cells``, ``_SharedCells``), and
-    returns that table. Keys the table lacks are added in the order first
+def _tally_note(rows: list[tuple], tail: list[EventAnnotation], gold_slots: dict,
+                pred: Document, pred_slots: dict, cells: dict[tuple, list[int]]) -> None:
+    """Tally one prediction of a note into a table of plain cells,
+    ``{(kind, event type, argument type, subtype): [tp, fn, fp]}``
+    (``_new_cells``, ``_SharedCells``): align it with gold's ``_ordered_rows``,
+    then add each event's slots (``_note_slots``, gold's and the
+    prediction's). Keys the table lacks are added in the order first
     tallied, so a table shared by every note of a corpus holds each key
-    where the walk first met it.
-
-    Gold's events are sorted here, once. Slots are built per note, not per
-    event (``_note_slots``): each prediction's when it is tallied, then
-    gold's at the first prediction, kept for the rest. So a note's warnings
-    come as the prediction's, in its events' file order, then gold's, once,
-    then the next prediction's."""
-    rows, tail = _ordered_rows(gold)
-    gold_slots = None
-
-    def tally(pred: Document, cells: dict[tuple, list[int]]) -> dict[tuple, list[int]]:
-        nonlocal gold_slots
-        pred_slots = _note_slots(pred, schema)
-        if gold_slots is None:
-            gold_slots = _note_slots(gold, schema)
-        matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
-        for g_event, p_event in matched:
-            p_slots = pred_slots[p_event.id]
-            g_slots = gold_slots[g_event.id]
-            if p_slots == g_slots:  # all tp, as the loop below would find
-                for key, _ in g_slots:
-                    cells[key][0] += 1
-                continue
-            for slot in g_slots:
-                if slot in p_slots:
-                    p_slots.remove(slot)
-                    cells[slot[0]][0] += 1
-                else:
-                    cells[slot[0]][1] += 1
-            for key, _ in p_slots:
-                cells[key][2] += 1
-        for g_event in unmatched_gold:
-            for key, _ in gold_slots[g_event.id]:
-                cells[key][1] += 1
-        for p_event in unmatched_pred:
-            for key, _ in pred_slots[p_event.id]:
-                cells[key][2] += 1
-        return cells
-
-    return tally
+    where the walk first met it."""
+    matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
+    for g_event, p_event in matched:
+        p_slots = pred_slots[p_event.id]
+        g_slots = gold_slots[g_event.id]
+        if p_slots == g_slots:  # all tp, as the loop below would find
+            for key, _ in g_slots:
+                cells[key][0] += 1
+            continue
+        for slot in g_slots:
+            if slot in p_slots:
+                p_slots.remove(slot)
+                cells[slot[0]][0] += 1
+            else:
+                cells[slot[0]][1] += 1
+        for key, _ in p_slots:
+            cells[key][2] += 1
+    for g_event in unmatched_gold:
+        for key, _ in gold_slots[g_event.id]:
+            cells[key][1] += 1
+    for p_event in unmatched_pred:
+        for key, _ in pred_slots[p_event.id]:
+            cells[key][2] += 1
 
 
 def _score_counts(cells: dict[tuple, list[int]]) -> ScoreCounts:
@@ -458,22 +438,25 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     come first, in its events' file order, then gold's. Raises ScoringError
     when the notes differ in doc_id or in text."""
     _check_pair(gold, pred)
-    return _score_counts(_gold_note(gold, schema)(pred, _new_cells()))
+    pred_slots = _note_slots(pred, schema)
+    cells = _new_cells()
+    _tally_note(*_ordered_rows(gold), _note_slots(gold, schema), pred, pred_slots, cells)
+    return _score_counts(cells)
 
 
-def _corpus_cells(
-    gold: Corpus, preds: Sequence[Corpus], schema: AnnotationSchema
-) -> Iterator[tuple[str, Callable, list[Document]]]:
-    """``(doc_id, tally, [predicted note per prediction])`` for every gold
-    note, in sorted doc_id order: one pass over gold, each note prepared once
-    (``_gold_note``: its slots are built once, so a note's warnings come as
-    the first prediction's, gold's, then each later prediction's). The
-    caller runs ``tally(pred_doc, cells)`` for each prediction in input
-    order, into the table of plain cells its view reports: one table for
-    the corpus (``score_corpus``), a fresh one (``_new_cells``) per note
-    (``per_document_counts``), or one table for the call whose keys share
-    cells (``_SharedCells``) that the view reads and zeroes after each note
-    (the density table, the bootstrap's totals).
+def _tally_notes(
+    gold: Corpus, preds: Sequence[Corpus], schema: AnnotationSchema,
+    tables: Sequence[dict[tuple, list[int]]],
+) -> Iterator[str]:
+    """One pass over gold that tallies prediction i into ``tables[i]`` and
+    yields each gold note's doc_id, in sorted doc_id order, once every
+    prediction of the note is in its table. The caller reads, folds or
+    zeroes its cells between notes.
+
+    Each gold note is prepared once for every prediction: its events are
+    sorted, and its slots are built at the first prediction, after that
+    prediction's own, and kept. So a note's warnings come as the first
+    prediction's, gold's once, then each later prediction's.
 
     Before any note is scored, each prediction is checked in input order:
     a predicted note absent from gold is an error, then a note whose text
@@ -492,27 +475,17 @@ def _corpus_cells(
             _check_pair(gold_docs[doc_id], pred_doc)
     for doc_id in doc_ids:
         gold_doc = gold_docs[doc_id]
-        pred_docs = []
-        for pred in preds:
+        rows, tail = _ordered_rows(gold_doc)
+        gold_slots = None
+        for pred, cells in zip(preds, tables):
             pred_doc = pred.documents.get(doc_id)
             if pred_doc is None:
                 pred_doc = Document(doc_id, gold_doc.text, metadata=gold_doc.metadata)
-            pred_docs.append(pred_doc)
-        yield doc_id, _gold_note(gold_doc, schema), pred_docs
-
-
-def per_document_counts(
-    gold: Corpus, pred: Corpus, schema: AnnotationSchema
-) -> dict[str, ScoreCounts]:
-    """Per-note tallies for every gold note, in sorted doc_id order.
-
-    Predicted notes absent from gold are an error; gold notes absent from
-    pred score against an empty prediction.
-    """
-    return {
-        doc_id: _score_counts(tally(pred_doc, _new_cells()))
-        for doc_id, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema)
-    }
+            pred_slots = _note_slots(pred_doc, schema)
+            if gold_slots is None:
+                gold_slots = _note_slots(gold_doc, schema)
+            _tally_note(rows, tail, gold_slots, pred_doc, pred_slots, cells)
+        yield doc_id
 
 
 def score_corpus(
@@ -522,7 +495,7 @@ def score_corpus(
     Every note tallies into one table of plain cells, so each key is made
     once and sits where the walk first met it."""
     total = _new_cells()
-    for _, tally, (pred_doc,) in _corpus_cells(gold, (pred,), schema):
-        tally(pred_doc, total)
+    for _ in _tally_notes(gold, (pred,), schema, (total,)):
+        pass
     counts = _score_counts(total)
     return counts, MetricReport.from_counts(counts)

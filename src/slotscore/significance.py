@@ -1,9 +1,10 @@
 """Paired bootstrap comparison of two systems' overall F1 on one gold
 corpus, resampling at the note level.
 
-Per-note tallies of both systems come from one pass over gold, which
-prepares each gold note once for the two; each repetition then draws notes
-with replacement, sums the cached tallies, and records the F1 difference.
+Per-note tallies of both systems come from the scorer's one pass over gold
+(``scoring._tally_notes``), which prepares each gold note once for the two;
+each repetition then draws notes with replacement, sums the cached tallies,
+and records the F1 difference.
 The random stream is Philox4x64 keyed by the seed. Repetition i starts at
 counter word 1 = i (every other counter word 0), which is the stream of
 ``Philox(key=seed).advance(i << 64)``. It depends on (seed, i)
@@ -41,7 +42,7 @@ from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
-from .scoring import _corpus_cells, _SharedCells, prf
+from .scoring import _SharedCells, _tally_notes, prf
 from .standoff import Corpus
 
 if TYPE_CHECKING:
@@ -105,10 +106,9 @@ def _note_totals(
     cells = [[0, 0, 0] for _ in preds]
     tables = [_SharedCells(lambda key, cell=cell: cell) for cell in cells]
     rows = []
-    for _, tally, pred_docs in _corpus_cells(gold, preds, schema):
+    for _ in _tally_notes(gold, preds, schema, tables):
         row = []
-        for pred_doc, table, cell in zip(pred_docs, tables, cells):
-            tally(pred_doc, table)
+        for cell in cells:
             row += cell
             cell[:] = (0, 0, 0)
         rows.append(row)

@@ -48,12 +48,12 @@ MUTANTS = (
     Mutant(
         "equal-slot-shortcut-tallies-fn",
         "scoring.py",
-        "            if p_slots == g_slots:  # all tp, as the loop below would find\n"
-        "                for key, _ in g_slots:\n"
-        "                    cells[key][0] += 1\n",
-        "            if p_slots == g_slots:  # all tp, as the loop below would find\n"
-        "                for key, _ in g_slots:\n"
-        "                    cells[key][1] += 1\n",
+        "        if p_slots == g_slots:  # all tp, as the loop below would find\n"
+        "            for key, _ in g_slots:\n"
+        "                cells[key][0] += 1\n",
+        "        if p_slots == g_slots:  # all tp, as the loop below would find\n"
+        "            for key, _ in g_slots:\n"
+        "                cells[key][1] += 1\n",
         ("tests/test_differential.py",),
     ),
     Mutant(
@@ -162,30 +162,30 @@ MUTANTS = (
         # not one tp alone.
         "matched-slot-removes-every-copy",
         "scoring.py",
-        "                    p_slots.remove(slot)\n",
-        "                    p_slots = [s for s in p_slots if s != slot]\n",
+        "                p_slots.remove(slot)\n",
+        "                p_slots = [s for s in p_slots if s != slot]\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
         "unmatched-gold-tallied-as-fp",
         "scoring.py",
-        "        for g_event in unmatched_gold:\n"
-        "            for key, _ in gold_slots[g_event.id]:\n"
-        "                cells[key][1] += 1\n",
-        "        for g_event in unmatched_gold:\n"
-        "            for key, _ in gold_slots[g_event.id]:\n"
-        "                cells[key][2] += 1\n",
+        "    for g_event in unmatched_gold:\n"
+        "        for key, _ in gold_slots[g_event.id]:\n"
+        "            cells[key][1] += 1\n",
+        "    for g_event in unmatched_gold:\n"
+        "        for key, _ in gold_slots[g_event.id]:\n"
+        "            cells[key][2] += 1\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
         "unmatched-prediction-tallied-as-fn",
         "scoring.py",
-        "        for p_event in unmatched_pred:\n"
-        "            for key, _ in pred_slots[p_event.id]:\n"
-        "                cells[key][2] += 1\n",
-        "        for p_event in unmatched_pred:\n"
-        "            for key, _ in pred_slots[p_event.id]:\n"
-        "                cells[key][1] += 1\n",
+        "    for p_event in unmatched_pred:\n"
+        "        for key, _ in pred_slots[p_event.id]:\n"
+        "            cells[key][2] += 1\n",
+        "    for p_event in unmatched_pred:\n"
+        "        for key, _ in pred_slots[p_event.id]:\n"
+        "            cells[key][1] += 1\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
@@ -193,9 +193,9 @@ MUTANTS = (
         # warnings printed once per prediction.
         "gold-slots-rebuilt-per-prediction",
         "scoring.py",
-        "        if gold_slots is None:\n"
-        "            gold_slots = _note_slots(gold, schema)\n",
-        "        gold_slots = _note_slots(gold, schema)\n",
+        "            if gold_slots is None:\n"
+        "                gold_slots = _note_slots(gold_doc, schema)\n",
+        "            gold_slots = _note_slots(gold_doc, schema)\n",
         ("tests/test_significance.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -203,10 +203,10 @@ MUTANTS = (
         # a flipped subtype would score as a match.
         "gold-slots-read-prediction-attributes",
         "scoring.py",
-        "            gold_slots = _note_slots(gold, schema)\n",
-        "            gold_slots = _note_slots(\n"
-        "                Document(gold.doc_id, gold.text, gold.text_bounds, gold.events,\n"
-        "                         pred.attributes), schema)\n",
+        "                gold_slots = _note_slots(gold_doc, schema)\n",
+        "                gold_slots = _note_slots(\n"
+        "                    Document(doc_id, gold_doc.text, gold_doc.text_bounds, gold_doc.events,\n"
+        "                             pred_doc.attributes), schema)\n",
         ("tests/test_scoring.py", "tests/test_differential.py"),
     ),
     Mutant(
@@ -220,6 +220,16 @@ MUTANTS = (
         "    for pred in preds:\n"
         "        for doc_id in doc_ids:\n",
         ("tests/test_significance.py",),
+    ),
+    Mutant(
+        # With two predictions, each one's slots would land in the other's
+        # table: the one-pass totals and each system's F1 would swap.
+        # test_one_pass_over_gold_equals_a_pass_per_system kills it.
+        "prediction-tallied-into-another-predictions-table",
+        "scoring.py",
+        "        for pred, cells in zip(preds, tables):\n",
+        "        for pred, cells in zip(preds, tables[::-1]):\n",
+        ("tests/test_differential.py",),
     ),
     Mutant(
         "role-suffix-kept",

@@ -17,14 +17,7 @@ import pytest
 from oracles import reference_align, reference_score, reference_stats, reference_validate
 from slotscore.analytics import corpus_stats, density_breakdown
 from slotscore.schema import LABELED, AnnotationSchema, validate_corpus
-from slotscore.scoring import (
-    ScoreCounts,
-    align_events,
-    per_document_counts,
-    prf,
-    score_corpus,
-    score_document,
-)
+from slotscore.scoring import ScoreCounts, align_events, prf, score_corpus, score_document
 from slotscore.significance import BootstrapConfig, _note_totals, paired_bootstrap
 from slotscore.standoff import (
     SOURCES,
@@ -198,6 +191,18 @@ def _random_corpora(rng, schema: AnnotationSchema, notes: int, systems: int = 1)
     return (gold, *preds)
 
 
+def _per_note_counts(gold: Corpus, pred: Corpus, schema: AnnotationSchema) -> dict:
+    """score_document note by note, in sorted doc_id order; a gold note the
+    prediction lacks scores against an empty note with gold's text."""
+    per_note = {}
+    for doc_id in gold.doc_ids():
+        pred_doc = pred.documents.get(doc_id)
+        if pred_doc is None:
+            pred_doc = Document(doc_id, gold[doc_id].text)
+        per_note[doc_id] = score_document(gold[doc_id], pred_doc, schema)
+    return per_note
+
+
 @pytest.mark.parametrize("attributes_on_events", [False, True])
 def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
     schema = AnnotationSchema(shac.events, shac.version, attributes_on_events)
@@ -208,7 +213,7 @@ def test_corpus_views_agree_with_per_note_tallies(shac, attributes_on_events):
         assert len(pred) < len(gold)
         for doc in pred:
             seen += _note_features(gold[doc.doc_id], doc, schema)
-        per_note = per_document_counts(gold, pred, schema)
+        per_note = _per_note_counts(gold, pred, schema)
         assert list(per_note) == gold.doc_ids()
 
         merged = ScoreCounts()
@@ -261,9 +266,9 @@ def test_stats_and_validation_agree_with_reference(shac, attributes_on_events):
 
 @pytest.mark.parametrize("attributes_on_events", [False, True])
 def test_one_pass_over_gold_equals_a_pass_per_system(shac, attributes_on_events):
-    # The reference scores each system in a pass of its own, as
-    # per_document_counts does, then runs the per-repetition loop on the
-    # documented Philox stream with prf on Python ints.
+    # The reference scores each system note by note with score_document,
+    # then runs the per-repetition loop on the documented Philox stream with
+    # prf on Python ints.
     schema = AnnotationSchema(shac.events, shac.version, attributes_on_events)
     rng = np.random.default_rng(1805 + attributes_on_events)
     reps = 200
@@ -276,7 +281,7 @@ def test_one_pass_over_gold_equals_a_pass_per_system(shac, attributes_on_events)
 
         totals = [
             [[c.tp, c.fn, c.fp] for c in (counts.total() for counts in
-                                           per_document_counts(gold, pred, schema).values())]
+                                           _per_note_counts(gold, pred, schema).values())]
             for pred in (pred_a, pred_b)
         ]
         n, seed = len(gold), 1000 + world

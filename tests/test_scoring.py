@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotscore.analytics import density_breakdown
 from slotscore.reports import METRIC_COLUMNS, metric_rows, render
 from slotscore.schema import AnnotationSchema, load_schema
 from slotscore.scoring import (
@@ -26,7 +28,7 @@ from slotscore.scoring import (
 )
 from oracles import oracle_align, reference_align
 from slotscore.significance import _note_totals
-from slotscore.standoff import Corpus, Document, parse_document
+from slotscore.standoff import Corpus, Document, load_corpus, parse_document, write_corpus
 from slotscore.testkit import GeneratorConfig, generate_gold, identity_counts, perturb
 
 
@@ -556,6 +558,36 @@ def test_additivity_over_disjoint_corpora(shac):
     }
 
 
+def test_predicted_line_order_moves_no_view(shac, tmp_path):
+    # Shuffling every predicted .ann's lines, ids kept, reorders the events
+    # each note's slot walk visits; no view's counts may move.
+    types = [spec.event_type for spec in shac.events]
+    cfg = GeneratorConfig(seed=27, notes=12, density={t: {2: 0.5, 3: 0.5} for t in types})
+    gold = generate_gold(cfg, shac)
+    assert all(
+        sum(e.event_type == t for e in gold[d].events.values()) >= 2
+        for d in gold.doc_ids() for t in types
+    )
+    pred, _ = perturb(gold, replace(cfg, trigger_shift=0.2, span_edit=0.2, subtype_flip=0.3,
+                                    event_drop=0.2, event_insert=0.3), shac)
+    write_corpus(pred, tmp_path)
+    ordered = load_corpus(tmp_path)
+    rng = np.random.default_rng(27)
+    for ann in sorted(tmp_path.glob("*.ann")):
+        lines = ann.read_text(encoding="utf-8").splitlines(keepends=True)
+        ann.write_text("".join(lines[i] for i in rng.permutation(len(lines))),
+                       encoding="utf-8", newline="")
+    shuffled = load_corpus(tmp_path)
+    assert all(list(ordered[d].events) != list(shuffled[d].events) for d in gold.doc_ids())
+
+    for view in (
+        lambda pred: score_corpus(gold, pred, shac)[0].counts,
+        lambda pred: _note_totals(gold, (pred,), shac).tolist(),
+        lambda pred: density_breakdown(gold, pred, shac),
+    ):
+        assert view(shuffled) == view(ordered)
+
+
 def test_deleting_predicted_event_is_monotone(shac):
     gold = generate_gold(GeneratorConfig(seed=41, notes=6), shac)
     pred, _ = perturb(
@@ -645,3 +677,24 @@ def test_identity_counts_matches_scoring_identity(shac):
     assert {k: (c.tp, c.fn, c.fp) for k, c in scored.items()} == {
         k: (c.tp, c.fn, c.fp) for k, c in analytic.items()
     }
+
+
+# Kept last: a mutant that makes these totals equal turns the expected
+# failure into a strict XPASS, which should not be the first test to kill it.
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction 14: greedy alignment takes the first overlapping "
+    "predicted event by id, so the total depends on which event is E1"
+))
+def test_note_total_does_not_depend_on_event_ids(shac):
+    # Two predicted events on gold's trigger; only the second agrees with
+    # gold's Status. Swapping their ids changes nothing BRAT gives meaning to.
+    text = "Drinks beer daily."
+    bounds = "T1\tAlcohol 7 11\tbeer\nT2\tStatusTime 0 6\tDrinks\nT3\tStatusTime 12 17\tdaily\n"
+    gold = _doc(bounds + "E1\tAlcohol:T1 Status:T2\nA1\tStatusTime T2 current\n", text)
+
+    def pred(past, current):
+        return _doc(bounds + f"{past}\tAlcohol:T1 Status:T3\n{current}\tAlcohol:T1 Status:T2\n"
+                    "A1\tStatusTime T3 past\nA2\tStatusTime T2 current\n", text)
+
+    assert (score_document(gold, pred("E1", "E2"), shac).total()
+            == score_document(gold, pred("E2", "E1"), shac).total())

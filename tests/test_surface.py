@@ -25,8 +25,7 @@ PACKAGE_MODULES = {
 
 SCORING_DEFINITIONS = {
     "Counts", "EventAlignment", "MetricReport", "Metrics", "PhenomenonKey", "ScoreCounts",
-    "ScoringError", "align_events", "per_document_counts", "prf", "score_corpus",
-    "score_document",
+    "ScoringError", "align_events", "prf", "score_corpus", "score_document",
 }
 
 # One record per annotation kind: a text-bound holds its own fragments.
