@@ -31,6 +31,19 @@ since each is distinct within a load, and fragment tuples are never
 shared. Callers compare by equality and must not rely on identity either
 way. A text-bound stores no copy of the text it covers, which is
 ``tb.covered(doc.text)``.
+
+The offset table also gives most T lines a short path. When a line's
+offsets are two tokens split by one space and both are keys of the table,
+its span is ``((start, end),)`` if ``start < end <= len(text)``. Any other
+line goes through the full offsets parser, which words every error. The
+path is exact: a key is a token ``str.split()`` made and ``int()`` accepted,
+so it holds no whitespace and no ``;``, and the full parser reads the line
+the same way. No value in the table is negative, since a negative offset
+fails its span and that ends the load. Text-bounds, events and attributes
+are built through their slot descriptors (``object.__new__`` and each
+field's setter), not the frozen ``__init__``, which would check nothing
+more: a text-bound's fragments are checked as they are parsed, and events
+and attributes have no ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -243,10 +256,20 @@ def _read_raw(path: str | Path) -> str:
         raise StandoffError(f"cannot read {path}: {exc}") from exc
 
 
+# Slot descriptors' setters: the parser builds each record through these, as
+# the frozen __init__ would, without its per-field object.__setattr__ calls.
 _new = object.__new__
 _set_id = TextBound.id.__set__
 _set_label = TextBound.label.__set__
 _set_fragments = TextBound.fragments.__set__
+_set_event_id = EventAnnotation.id.__set__
+_set_event_type = EventAnnotation.event_type.__set__
+_set_trigger = EventAnnotation.trigger.__set__
+_set_arguments = EventAnnotation.arguments.__set__
+_set_attribute_id = AttributeAnnotation.id.__set__
+_set_name = AttributeAnnotation.name.__set__
+_set_target = AttributeAnnotation.target.__set__
+_set_value = AttributeAnnotation.value.__set__
 
 
 def _parse_fragments(offsets: str, doc_id: str, line_no: int,
@@ -338,12 +361,22 @@ def _parse(
             label, space, offsets = header.partition(" ")
             if not space:
                 raise StandoffError(f"malformed text-bound header {header!r}", doc_id, line_no)
-            fragments = _parse_fragments(offsets, doc_id, line_no, ints)
-            if fragments[-1][1] > text_len:
-                raise StandoffError(
-                    f"span {fragments} exceeds text length {text_len}", doc_id, line_no
-                )
-            covered = _covered(fragments, doc_text)
+            # The short path of the module docstring: two tokens the load has
+            # converted. No value of ``ints`` is negative (a negative offset
+            # ends the load), so 0 <= start holds without a test.
+            first, _, last = offsets.partition(" ")
+            start = ints.get(first)
+            end = ints.get(last)
+            if start is not None and end is not None and start < end <= text_len:
+                fragments = ((start, end),)
+                covered = doc_text[start:end]
+            else:
+                fragments = _parse_fragments(offsets, doc_id, line_no, ints)
+                if fragments[-1][1] > text_len:
+                    raise StandoffError(
+                        f"span {fragments} exceeds text length {text_len}", doc_id, line_no
+                    )
+                covered = _covered(fragments, doc_text)
             if not _states(stated_text, covered):
                 message = (
                     f"covered text mismatch for {ann_id}: file says {stated_text!r}, "
@@ -446,7 +479,13 @@ def _parse(
             raise StandoffError(
                 f"event {ann_id} argument {role} references unknown {target}", doc_id, line_no
             )
-        events[ann_id] = EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
+        # Equal to EventAnnotation(ann_id, event_type, trigger, tuple(arguments))
+        event = _new(EventAnnotation)
+        _set_event_id(event, ann_id)
+        _set_event_type(event, event_type)
+        _set_trigger(event, trigger)
+        _set_arguments(event, tuple(arguments))
+        events[ann_id] = event
 
     attributes: dict[str, AttributeAnnotation] = {}
     seen_name_target: dict[tuple[str, str], str] = {}
@@ -467,7 +506,13 @@ def _parse(
             )
             continue
         seen_name_target[(name, target)] = ann_id
-        attributes[ann_id] = AttributeAnnotation(ann_id, name, target, value)
+        # Equal to AttributeAnnotation(ann_id, name, target, value)
+        attr = _new(AttributeAnnotation)
+        _set_attribute_id(attr, ann_id)
+        _set_name(attr, name)
+        _set_target(attr, target)
+        _set_value(attr, value)
+        attributes[ann_id] = attr
 
     return Document(
         doc_id=doc_id,

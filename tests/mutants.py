@@ -263,6 +263,24 @@ MUTANTS = (
         ("tests/test_standoff.py",),
     ),
     Mutant(
+        # A T line whose tokens an earlier line converted would skip the
+        # span check: "7 7" would be an empty span, "7 0" a reversed one.
+        "warm-table-span-may-be-empty",
+        "standoff.py",
+        "            if start is not None and end is not None and start < end <= text_len:\n",
+        "            if start is not None and end is not None and end <= text_len:\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
+        # Tokens converted in a longer note would cut a span at the end of a
+        # shorter one, not reject it.
+        "warm-table-span-may-pass-note-end",
+        "standoff.py",
+        "            if start is not None and end is not None and start < end <= text_len:\n",
+        "            if start is not None and end is not None and start < end:\n",
+        ("tests/test_standoff.py",),
+    ),
+    Mutant(
         # Each note's totals would hold every earlier note's too.
         "bootstrap-cell-kept-into-the-next-note",
         "significance.py",

@@ -323,14 +323,19 @@ class _Warnings(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def _parse_logged(ann, text, strict):
-    """``("error", message, line_no)`` or ``("ok", document, warnings)``."""
+def _parse_logged(ann, text, strict, tables=None):
+    """``("error", message, line_no)`` or ``("ok", document, warnings)``. With
+    ``tables`` (offset ints, shared objects), the note is parsed over them as
+    ``load_corpus`` parses each of its notes; without, by ``parse_document``."""
     logger = logging.getLogger(standoff.__name__)
     handler, level = _Warnings(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.WARNING)
     try:
-        doc = parse_document(ann, text, "n1", strict=strict)
+        if tables is None:
+            doc = parse_document(ann, text, "n1", strict=strict)
+        else:
+            doc = standoff._parse(ann, text, "n1", strict, None, *tables)
     except StandoffError as exc:
         return ("error", str(exc), exc.line_no)
     finally:
@@ -454,30 +459,111 @@ def _offset_token(draw, text_len):
     return str(n)
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_t_line_matches_public_text_bound_on_drawn_offsets(data):
+@st.composite
+def _t_line(draw, as_brat_writes=False):
+    """``(offsets, stated, text, strict, ann_id, label, sep)`` of a drawn T
+    line: mostly one fragment of two tokens after one space, as BRAT writes
+    them, and mostly a stated text that the span covers. ``as_brat_writes``:
+    always one such fragment, of two plain tokens from 0 to just past the
+    note's end, after ``T1<TAB>Drug ``."""
     def pick(*options):
-        return data.draw(st.sampled_from(options))
+        return draw(st.sampled_from(options))
 
-    text = data.draw(st.text(st.sampled_from("ab \t\r\né \U0001f600"), max_size=14))
-    # Mostly one fragment of two tokens after one space, as BRAT writes them.
-    header = (pick(*_T_IDS), pick(*_T_LABELS), pick(" ", " ", " ", *_T_SEPARATORS))
-    fragments = []
-    for _ in range(pick(1, 1, 2, 3)):
-        tokens = [data.draw(_offset_token(len(text))) for _ in range(pick(2, 2, 1, 3))]
-        fragments.append(pick(" ", " ", "  ", "\xa0").join(tokens))
-    offsets = ";".join(fragments)
-    strict = data.draw(st.booleans())
+    text = draw(st.text(st.sampled_from("ab \t\r\né \U0001f600"), max_size=14))
+    if as_brat_writes:
+        header = ("T1", "Drug", " ")
+        offsets = " ".join(str(draw(st.integers(0, len(text) + 3))) for _ in range(2))
+    else:
+        header = (pick(*_T_IDS), pick(*_T_LABELS), pick(" ", " ", " ", *_T_SEPARATORS))
+        fragments = []
+        for _ in range(pick(1, 1, 2, 3)):
+            tokens = [draw(_offset_token(len(text))) for _ in range(pick(2, 2, 1, 3))]
+            fragments.append(pick(" ", " ", "  ", "\xa0").join(tokens))
+        offsets = ";".join(fragments)
     expected = _t_line_by_the_rules(offsets, "", text, False, *header)
     covered = expected[1].covered(text) if expected[0] == "ok" else ""
-    stated = data.draw(
+    stated = draw(
         st.sampled_from([covered, covered.replace("\r", " ").replace("\t", " "), covered + "\r"])
         | st.text(st.sampled_from("ab \t\ré"), max_size=6)
     ).replace("\n", " ")
-    assert _parse_t_line(offsets, stated, text, strict, *header) == _t_line_by_the_rules(
-        offsets, stated, text, strict, *header
+    return (offsets, stated, text, draw(st.booleans()), *header)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_t_line())
+def test_t_line_matches_public_text_bound_on_drawn_offsets(line):
+    assert _parse_t_line(*line) == _t_line_by_the_rules(*line)
+
+
+# ---------------------------------------------------------------------------
+# One T line whose offset tokens an earlier line of the load converted
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("T2\tDrug 7 7\t", "invalid span '7 7': invalid fragment (7, 7)"),  # empty
+        ("T2\tDrug 7 0\t", "invalid span '7 0': invalid fragment (7, 0)"),  # reversed
+    ],
+)
+def test_warm_offset_tokens_keep_the_span_checks(second, message, strict):
+    # T1 converts 0 and 7 first; a blank first line leaves the table cold.
+    warm = _parse_logged(f"T1\tDrug 0 7\tcocaine\n{second}\n", "cocaine use", strict)
+    cold = _parse_logged(f"\n{second}\n", "cocaine use", strict)
+    assert warm == cold == ("error", f"n1:2: {message}", 2)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("short", ["cocaine", "cocaine use da"])  # 12 past its end, or 17 only
+def test_tokens_cached_from_a_longer_note_keep_the_end_check(tmp_path, short, strict):
+    # n0 loads first and converts 12 and 17 within its 17 characters.
+    _write_note(tmp_path, "n0", "cocaine use daily", "T1\tDrug 12 17\tdaily\n")
+    ann = "T1\tDrug 0 7\tcocaine\nT2\tDrug 12 17\tdaily\n"
+    _write_note(tmp_path, "n1", short, ann)
+    with pytest.raises(StandoffError) as cold:
+        parse_document(ann, short, "n1", strict=strict)
+    with pytest.raises(StandoffError) as loaded:
+        load_corpus(tmp_path, strict=strict)
+    expected = (f"n1:2: span ((12, 17),) exceeds text length {len(short)}", 2)
+    assert (str(cold.value), cold.value.line_no) == expected
+    assert (str(loaded.value), loaded.value.line_no) == expected
+
+
+# Long enough that every drawn token from 0 up starts a span that ends at it.
+_WARM_UP_NOTE = "x" * 64
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_t_line() | _t_line(as_brat_writes=True))
+def test_t_line_parses_alike_after_a_warm_up_line_with_its_tokens(line):
+    """A warm-up note parsed over the same tables first converts every offset
+    token of the drawn line that a load can hold (one int() accepts, from 0
+    to below the warm-up note's length). The drawn line then gives the same
+    Document and warnings, or the same error text and line, as alone."""
+    offsets, stated, text, strict, ann_id, label, sep = line
+    tokens = {token for part in offsets.split(";") for token in part.split()}
+    warm_up = {}
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            continue
+        if 0 <= value < len(_WARM_UP_NOTE):
+            warm_up[token] = value
+    ints, shared = {}, {}
+    warm_up_ann = "".join(
+        f"T{k}\tWarm {token} {len(_WARM_UP_NOTE)}\t{_WARM_UP_NOTE[value:]}\n"
+        for k, (token, value) in enumerate(sorted(warm_up.items()), 1)
     )
+    standoff._parse(warm_up_ann, _WARM_UP_NOTE, "n0", True, None, ints, shared)
+    assert warm_up.items() <= ints.items()
+    ann = f"{ann_id}\t{label}{sep}{offsets}\t{stated}\n"
+    warm = _parse_logged(ann, text, strict, (ints, shared))
+    cold = _parse_logged(ann, text, strict)
+    assert warm == cold
+    if cold[0] == "ok":
+        assert repr(warm[1]) == repr(cold[1])
 
 
 # ---------------------------------------------------------------------------
