@@ -26,7 +26,7 @@ from .scoring import (
     TRIGGER,
     Counts,
     Metrics,
-    _SharedCells,
+    _Cells,
     _tally_notes,
     score_corpus,
 )
@@ -157,9 +157,9 @@ def density_breakdown(
     restricted to the type, spurious predictions included. Notes with no
     gold events and no predictions of a type contribute nothing to it.
 
-    The call keeps one table of cells (``_SharedCells``): each key is its
-    event type's trigger cell or argument cell, so every note adds straight
-    into them. Every tally adds at least 1 to some cell, so a type whose two
+    The call keeps one table of cells (``_Cells``): each key is its event
+    type's trigger cell or argument cell, so every note adds straight into
+    them. Every tally adds at least 1 to some cell, so a type whose two
     cells are zero after a note did not occur in it, which is exactly the
     rule above. After each note every type met in the call is read, at
     O(event types met) per note, and its cells are zeroed.
@@ -173,7 +173,7 @@ def density_breakdown(
             cells = by_type[key[1]] = ([0, 0, 0], [0, 0, 0])
         return cells[0] if key[0] == TRIGGER else cells[1]
 
-    note_cells = _SharedCells(cell_of)
+    note_cells = _Cells(cell_of)
     # (event type, bucket) -> [notes, gold events, tp, fn, fp]
     table: dict[tuple[str, str], list[int]] = {}
 

@@ -1,4 +1,4 @@
-"""Command-line entry point: score, compare, stats, validate, and gen.
+"""Command-line entry point: score, compare, stats and validate.
 
 Corpora are BRAT collections: directories of ``<id>.txt`` / ``<id>.ann``
 pairs. Exit codes are stable: 0 success, 1 usage, 2 data error, 3
@@ -11,22 +11,18 @@ timestamp header.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
-import json
 import logging
 import os
 import sys
 import traceback
 from pathlib import Path
 
-import yaml
-
 from . import analytics, reports
 from .schema import AnnotationSchema, SchemaError, load_schema_file, shac_schema, validate_corpus
 from .scoring import ScoringError, score_corpus
 from .significance import BootstrapConfig, paired_bootstrap
-from .standoff import StandoffError, load_corpus, write_corpus
+from .standoff import StandoffError, load_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +39,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
+    """Options of every command: each loads corpora and writes a report."""
     parser.add_argument(
         "--schema",
         metavar="PATH",
@@ -57,11 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("debug", "info", "warning", "error"),
         help="logging verbosity (default: warning)",
     )
-
-
-def _add_report_options(parser: argparse.ArgumentParser) -> None:
-    """Options of the commands that load corpora and write a report."""
-    _add_common(parser)
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     parser.add_argument(
         "--format", choices=("tsv", "json"), default="tsv", help="report format (default: tsv)"
@@ -105,13 +97,6 @@ def build_parser() -> _Parser:
     p_val.add_argument("corpus", help="corpus directory")
     _add_report_options(p_val)
     p_val.set_defaults(func=cmd_validate)
-
-    p_gen = sub.add_parser("gen", help="emit a synthetic fixture corpus (dev tool)")
-    p_gen.add_argument("config", help="generator config file (YAML)")
-    p_gen.add_argument("outdir", help="fixture output directory")
-    p_gen.add_argument("--seed", type=int, default=None, help="override the config seed")
-    _add_common(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -192,35 +177,6 @@ def cmd_validate(args) -> int:
     ))
     print(f"{len(violations)} violation(s) in {len(corpus)} note(s)")
     return EXIT_OK if not violations else EXIT_DATA
-
-
-def cmd_gen(args) -> int:
-    # Only gen uses the generator, so no other command pays for its import.
-    from .testkit import GeneratorConfig, GeneratorError, generate_gold, perturb
-
-    data = yaml.safe_load(Path(args.config).read_text(encoding="utf-8")) or {}
-    if not isinstance(data, dict):
-        raise GeneratorError("generator config must be a mapping")
-    if args.seed is not None:
-        data["seed"] = args.seed
-    cfg = GeneratorConfig.from_mapping(data)
-    schema = _schema_from(args)
-
-    outdir = Path(args.outdir)
-    gold = generate_gold(cfg, schema)
-    write_corpus(gold, outdir / "gold")
-    print(f"wrote {len(gold)} gold note(s) to {outdir / 'gold'} (seed={cfg.seed})")
-
-    if any((cfg.trigger_shift, cfg.span_edit, cfg.subtype_flip, cfg.event_drop, cfg.event_insert)):
-        pred, edits = perturb(gold, cfg, schema)
-        write_corpus(pred, outdir / "pred")
-        log = [
-            {k: v for k, v in dataclasses.asdict(edit).items() if v not in (None, ())}
-            for edit in edits
-        ]
-        (outdir / "edits.json").write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote perturbed pred ({len(edits)} edit(s)) to {outdir / 'pred'}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

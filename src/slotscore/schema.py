@@ -35,8 +35,11 @@ class SchemaError(Exception):
 class ArgumentSpec:
     """One argument slot of an event type.
 
-    ``role`` is the connector written on event lines; ``argument_type`` is
-    the label of the argument's text-bound. Labeled arguments carry their
+    ``role`` is the connector written on event lines, less the number BRAT
+    appends to a repeated role: the parser reads a role's trailing digits
+    as that number (``Arg1:T2`` is role ``Arg``), so a role that is empty
+    or ends in a digit could never be met and is refused. ``argument_type``
+    is the label of the argument's text-bound. Labeled arguments carry their
     subtype in a standoff attribute named ``attribute_name`` (defaults to
     the argument type).
     """
@@ -49,6 +52,11 @@ class ArgumentSpec:
     attribute_name: str | None = None
 
     def __post_init__(self):
+        if not self.role or self.role[-1].isdecimal():
+            raise SchemaError(
+                f"role {self.role!r} of argument {self.argument_type} must be non-empty "
+                "and not end in a digit"
+            )
         if self.kind not in (SPAN_ONLY, LABELED):
             raise SchemaError(f"unknown argument kind {self.kind!r} for {self.argument_type}")
         if self.kind == LABELED:

@@ -20,9 +20,9 @@ once for every prediction, so gold's slots and warnings come once. Each
 corpus-level view passes the table it reports:
 ``score_corpus`` (and so the subtype table) one corpus table; the density
 table and the bootstrap's per-note totals one table for the call whose keys
-share a few cells (``_SharedCells``), which they read and zero after each
-note, so no view builds a table per note. A ``PhenomenonKey`` is made once
-per key, and only where a ``ScoreCounts`` is returned.
+share a few cells, which they read and zero after each note, so no view
+builds a table per note. Every table is a ``_Cells``. A ``PhenomenonKey``
+is made once per key, and only where a ``ScoreCounts`` is returned.
 
 The schema owns the two rules every labeled-argument score rests on: a
 role resolves, to its key or its declared subtypes' slots, through the
@@ -41,10 +41,8 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import defaultdict
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 
 from .schema import KINDS, LABELED_ARG, SPAN_ONLY_ARG, TRIGGER, AnnotationSchema
 from .standoff import (
@@ -351,12 +349,6 @@ def _note_slots(doc: Document, schema: AnnotationSchema) -> dict[str, list[tuple
     return note
 
 
-@lru_cache(maxsize=4096)
-def _phenomenon(kind: str, event_type: str, argument_type: str | None,
-                subtype: str | None) -> PhenomenonKey:
-    return PhenomenonKey(kind, event_type, argument_type, subtype)
-
-
 def _check_pair(gold: Document, pred: Document) -> None:
     """Raise ScoringError unless the notes share doc_id and text."""
     if gold.doc_id != pred.doc_id:
@@ -369,16 +361,13 @@ def _check_pair(gold: Document, pred: Document) -> None:
         )
 
 
-def _new_cells() -> defaultdict[tuple, list[int]]:
-    """An empty table of plain cells: a key first tallied starts at [0, 0, 0]."""
-    return defaultdict(partial(list, (0, 0, 0)))
-
-
-class _SharedCells(dict):
-    """A table of plain cells whose keys share cells: a key met for the first
-    time gets the cell ``cell_of(key)`` names. A view that keeps the cells
-    for a whole call passes the same table for every note and reads, then
-    zeroes, the cells after each one, so no note builds a table of its own."""
+class _Cells(dict):
+    """A table of plain cells, ``{key: [tp, fn, fp]}``: a key met for the
+    first time gets the cell ``cell_of(key)`` makes or names. A table of its
+    own per key passes ``lambda key: [0, 0, 0]``; a view that keeps a few
+    cells for a whole call lets keys share them, passes the same table for
+    every note and reads, then zeroes, the cells after each one, so no note
+    builds a table of its own."""
 
     __slots__ = ("cell_of",)
 
@@ -395,11 +384,10 @@ def _tally_note(rows: list[tuple], tail: list[EventAnnotation], gold_slots: dict
                 pred: Document, pred_slots: dict, cells: dict[tuple, list[int]]) -> None:
     """Tally one prediction of a note into a table of plain cells,
     ``{(kind, event type, argument type, subtype): [tp, fn, fp]}``
-    (``_new_cells``, ``_SharedCells``): align it with gold's ``_ordered_rows``,
-    then add each event's slots (``_note_slots``, gold's and the
-    prediction's). Keys the table lacks are added in the order first
-    tallied, so a table shared by every note of a corpus holds each key
-    where the walk first met it."""
+    (``_Cells``): align it with gold's ``_ordered_rows``, then add each
+    event's slots (``_note_slots``, gold's and the prediction's). Keys the
+    table lacks are added in the order first tallied, so a table shared by
+    every note of a corpus holds each key where the walk first met it."""
     matched, unmatched_gold, unmatched_pred = _align(rows, tail, pred)
     for g_event, p_event in matched:
         p_slots = pred_slots[p_event.id]
@@ -426,7 +414,7 @@ def _tally_note(rows: list[tuple], tail: list[EventAnnotation], gold_slots: dict
 
 def _score_counts(cells: dict[tuple, list[int]]) -> ScoreCounts:
     """Plain cells as ScoreCounts, each key made once, in the cells' order."""
-    return ScoreCounts({_phenomenon(*key): Counts(*cell) for key, cell in cells.items()})
+    return ScoreCounts({PhenomenonKey(*key): Counts(*cell) for key, cell in cells.items()})
 
 
 def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> ScoreCounts:
@@ -439,7 +427,7 @@ def score_document(gold: Document, pred: Document, schema: AnnotationSchema) -> 
     when the notes differ in doc_id or in text."""
     _check_pair(gold, pred)
     pred_slots = _note_slots(pred, schema)
-    cells = _new_cells()
+    cells = _Cells(lambda key: [0, 0, 0])
     _tally_note(*_ordered_rows(gold), _note_slots(gold, schema), pred, pred_slots, cells)
     return _score_counts(cells)
 
@@ -494,7 +482,7 @@ def score_corpus(
     """Corpus tallies (summed over notes) and their micro-averaged report.
     Every note tallies into one table of plain cells, so each key is made
     once and sits where the walk first met it."""
-    total = _new_cells()
+    total = _Cells(lambda key: [0, 0, 0])
     for _ in _tally_notes(gold, (pred,), schema, (total,)):
         pass
     counts = _score_counts(total)

@@ -42,7 +42,7 @@ from operator import index
 from typing import TYPE_CHECKING
 
 from .schema import AnnotationSchema
-from .scoring import _SharedCells, _tally_notes, prf
+from .scoring import _Cells, _tally_notes, prf
 from .standoff import Corpus
 
 if TYPE_CHECKING:
@@ -98,13 +98,13 @@ def _note_totals(
     each prediction's three totals in input order.
 
     Each prediction keeps one table for the call, every key of which is the
-    prediction's one [tp, fn, fp] cell (``_SharedCells``), so the tally adds
-    a note's slots straight into its totals. After each note the cell is read
+    prediction's one [tp, fn, fp] cell (``_Cells``), so the tally adds a
+    note's slots straight into its totals. After each note the cell is read
     into the row and zeroed."""
     import numpy as np
 
     cells = [[0, 0, 0] for _ in preds]
-    tables = [_SharedCells(lambda key, cell=cell: cell) for cell in cells]
+    tables = [_Cells(lambda key, cell=cell: cell) for cell in cells]
     rows = []
     for _ in _tally_notes(gold, preds, schema, tables):
         row = []

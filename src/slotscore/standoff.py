@@ -293,8 +293,6 @@ def _parse_fragments(offsets: str, doc_id: str, line_no: int,
             fragments.append((start, end))
     except ValueError:
         raise StandoffError(f"non-integer span offsets {offsets!r}", doc_id, line_no) from None
-    if len(fragments) == 1 and 0 <= start < end:
-        return (fragments[0],)  # one valid fragment, as BRAT writes nearly every span
     fragments.sort()
     try:
         return _checked(fragments)

@@ -13,7 +13,7 @@ oracles live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .schema import LABELED, SPAN_ONLY, AnnotationSchema, ArgumentSpec, EventSpec
@@ -112,22 +112,6 @@ class GeneratorConfig:
                 if abs(total - 1.0) > 1e-9:
                     raise GeneratorError(f"{label}[{key!r}] probabilities sum to {total}, not 1")
         object.__setattr__(self, "partitions", tuple((s, p) for s, p in self.partitions))
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "GeneratorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise GeneratorError(f"unknown generator config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "partitions" in kwargs:
-            kwargs["partitions"] = tuple((str(s), str(p)) for s, p in kwargs["partitions"])
-        if "density" in kwargs and kwargs["density"] is not None:
-            kwargs["density"] = {
-                str(t): {int(k): float(v) for k, v in d.items()}
-                for t, d in kwargs["density"].items()
-            }
-        return cls(**kwargs)
 
 
 def _draw(rng: np.random.Generator, dist: dict) -> object:

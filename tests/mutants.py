@@ -239,6 +239,13 @@ MUTANTS = (
         ("tests/test_standoff.py",),
     ),
     Mutant(
+        "role-ending-in-digit-accepted",
+        "schema.py",
+        "        if not self.role or self.role[-1].isdecimal():\n",
+        "        if not self.role:\n",
+        ("tests/test_schema.py",),
+    ),
+    Mutant(
         # A raw CR in the covered text would match a stated text that holds it.
         "stated-text-may-hold-a-raw-cr",
         "standoff.py",

@@ -17,7 +17,6 @@ from slotscore.standoff import (
     AttributeAnnotation,
     Corpus,
     TextBound,
-    load_corpus,
     write_corpus,
 )
 from slotscore.testkit import GeneratorConfig, generate_gold, perturb
@@ -343,52 +342,6 @@ def test_stats_manifest_syntax_error_is_named(tmp_path, capsys, rows, message):
     manifest.write_bytes(rows)
     assert main(["stats", str(corpus), "--manifest", str(manifest)]) == EXIT_DATA
     assert f"error: {manifest}: {message}" in capsys.readouterr().err
-
-
-def test_gen_emits_fixture_directory(tmp_path, capsys):
-    config = tmp_path / "gen.yaml"
-    config.write_text(
-        "notes: 4\nseed: 2\nevent_drop: 0.5\nsubtype_flip: 0.5\n", encoding="utf-8"
-    )
-    out = tmp_path / "fixture"
-    assert main(["gen", str(config), str(out)]) == EXIT_OK
-    capsys.readouterr()
-    gold = load_corpus(out / "gold", strict=True)
-    pred = load_corpus(out / "pred", strict=True)
-    assert len(gold) == 4 and len(pred) == 4
-    edits = json.loads((out / "edits.json").read_text())
-    assert isinstance(edits, list) and edits
-
-
-def test_gen_seed_override(tmp_path, capsys):
-    config = tmp_path / "gen.yaml"
-    config.write_text("notes: 2\nseed: 2\n", encoding="utf-8")
-    main(["gen", str(config), str(tmp_path / "a")])
-    main(["gen", str(config), str(tmp_path / "b"), "--seed", "9"])
-    capsys.readouterr()
-    a = (tmp_path / "a" / "gold" / "note0000.ann").read_text()
-    b = (tmp_path / "b" / "gold" / "note0000.ann").read_text()
-    assert a != b
-
-
-def test_gen_rejects_a_config_that_is_not_a_mapping(tmp_path, capsys):
-    config = tmp_path / "gen.yaml"
-    config.write_text("- notes: 2\n", encoding="utf-8")
-    out = tmp_path / "fixture"
-    assert main(["gen", str(config), str(out)]) == EXIT_DATA
-    assert capsys.readouterr().err == "slotscore: error: generator config must be a mapping\n"
-    assert not out.exists()
-
-
-def test_gen_takes_no_report_options(tmp_path, capsys):
-    config = tmp_path / "gen.yaml"
-    config.write_text("notes: 2\nseed: 2\n", encoding="utf-8")
-    out = tmp_path / "fixture"
-    assert main(["gen", str(config), str(out), "--format", "json"]) == EXIT_USAGE
-    for flag in (["--output", str(tmp_path / "report")], ["--strict"], ["--stamp"]):
-        assert main(["gen", str(config), str(out), *flag]) == EXIT_USAGE
-    capsys.readouterr()
-    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slotscore.schema import (
     LABELED,
@@ -11,8 +13,10 @@ from slotscore.schema import (
     RULE_SUBTYPE_MISSING,
     RULE_SUBTYPE_VOCAB,
     RULE_TRIGGER,
+    SPAN_ONLY,
     SPAN_ONLY_ARG,
     TRIGGER,
+    ArgumentSpec,
     SchemaError,
     canonical_name,
     load_schema,
@@ -142,6 +146,32 @@ def test_load_schema_rejects_span_only_with_subtypes():
 def test_load_schema_rejects_unknown_keys():
     with pytest.raises(SchemaError, match="unknown config keys"):
         load_schema("events: []\nextra: 1\n")
+
+
+def test_argument_spec_rejects_a_role_ending_in_a_digit():
+    for role in ("Arg1", "Status2", "", "7", "Arg\u0661"):  # U+0661 ARABIC-INDIC DIGIT ONE
+        with pytest.raises(SchemaError, match="must be non-empty and not end in a digit"):
+            ArgumentSpec("A", role, SPAN_ONLY)
+    assert ArgumentSpec("A", "Arg1x", SPAN_ONLY).role == "Arg1x"
+
+
+_ROLE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), blacklist_characters=":"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_ROLE_TEXT)
+def test_every_role_a_schema_takes_reads_back_from_an_event_line(role):
+    try:
+        spec = ArgumentSpec("A", role, SPAN_ONLY)
+    except SchemaError:
+        assert role[-1].isdecimal()
+        return
+    for written in (role, role + "2"):  # as is, and with BRAT's repeat number
+        doc = parse_document(f"T1\tX 0 1\ta\nT2\tA 2 3\tb\nE1\tX:T1 {written}:T2\n", "a b")
+        assert doc.events["E1"].arguments == ((spec.role, "T2"),)
 
 
 def test_labeled_attribute_name_defaults_to_argument_type():
@@ -320,11 +350,25 @@ _ONE_ARGUMENT = "events:\n  - type: X\n    arguments:\n      - {argument}\n"
             ),
             "'attribute' of argument A in event X must be a string, got True",
         ),
+        # The parser reads Arg1:T2 as role Arg, so no such role could be filled.
+        (
+            _ONE_ARGUMENT.format(argument="{type: Agent, role: Arg1, kind: span_only}"),
+            "role 'Arg1' of argument Agent must be non-empty and not end in a digit",
+        ),
+        (
+            _ONE_ARGUMENT.format(argument="{type: Status2, kind: labeled, subtypes: [a]}"),
+            "role 'Status2' of argument Status2 must be non-empty and not end in a digit",
+        ),
+        (
+            _ONE_ARGUMENT.format(argument="{type: Agent, role: '', kind: span_only}"),
+            "role '' of argument Agent must be non-empty and not end in a digit",
+        ),
     ],
     ids=[
         "scalar-subtypes", "boolean-subtypes", "argument-not-mapping", "arguments-not-list",
         "quoted-required", "quoted-attributes-on-events", "events-not-list",
-        "integer-attribute", "boolean-attribute",
+        "integer-attribute", "boolean-attribute", "numbered-role", "role-defaulted-from-type",
+        "empty-role",
     ],
 )
 def test_load_schema_rejects_malformed_values(config, message):

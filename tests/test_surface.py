@@ -1,11 +1,13 @@
 """The public surface of ``slotscore`` may shrink or stay flat; growing it
 means changing these sets on purpose."""
 
+import argparse
 import pkgutil
 from types import ModuleType
 
 import slotscore
 from slotscore import scoring, standoff
+from slotscore.cli import EXIT_USAGE, build_parser, main
 
 PACKAGE_NAMES = {
     "AnnotationSchema", "ArgumentSpec", "AttributeAnnotation", "BootstrapConfig",
@@ -27,6 +29,9 @@ SCORING_DEFINITIONS = {
     "Counts", "EventAlignment", "MetricReport", "Metrics", "PhenomenonKey", "ScoreCounts",
     "ScoringError", "align_events", "prf", "score_corpus", "score_document",
 }
+
+# The one generator CLI is slotbench/gen.py.
+CLI_COMMANDS = {"score", "compare", "stats", "validate"}
 
 # One record per annotation kind: a text-bound holds its own fragments.
 STANDOFF_DEFINITIONS = {
@@ -62,3 +67,10 @@ def test_scoring_defines_no_new_public_function_or_class():
 
 def test_standoff_defines_no_new_public_function_or_class():
     assert _public_definitions(standoff) == STANDOFF_DEFINITIONS
+
+
+def test_cli_commands_are_pinned(capsys):
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == CLI_COMMANDS
+    assert main(["gen", "gen.yaml", "out"]) == EXIT_USAGE
+    assert "invalid choice: 'gen'" in capsys.readouterr().err

@@ -35,11 +35,6 @@ def test_config_rejects_bad_rates():
         GeneratorConfig(subtype_dist={"StatusTime": {}})
 
 
-def test_config_from_mapping_rejects_unknown_keys():
-    with pytest.raises(GeneratorError):
-        GeneratorConfig.from_mapping({"notes": 3, "bogus": 1})
-
-
 def test_generated_corpus_is_schema_valid(shac):
     for seed in (0, 1, 99):
         corpus = generate_gold(GeneratorConfig(seed=seed, notes=6), shac)
